@@ -46,6 +46,7 @@ terminal batch failure, quarantine, resubmission or pool rebuild fires
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -113,6 +114,14 @@ def _parse_batch_anneal(text: str | None):
         return AnnealSchedule.parse(text)
     except ValueError as exc:  # covers DimensionError and bad floats
         raise SystemExit(f"--batch-anneal: {exc}") from exc
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: the default ``--workers``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
 
 
 def _make_executor(backend: str, workers: int):
@@ -961,7 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="session solver backend (used with --session-dir)",
     )
     solve.add_argument(
-        "--workers", type=int, default=4, help="worker count for --backend"
+        "--workers",
+        type=int,
+        default=_usable_cores(),
+        help="worker count for --backend (default: the usable cores)",
     )
     solve.add_argument(
         "--placement",
@@ -1056,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["serial", "thread", "process"],
         default="serial",
     )
-    resolve.add_argument("--workers", type=int, default=4)
+    resolve.add_argument("--workers", type=int, default=_usable_cores())
     resolve.add_argument(
         "--placement",
         choices=["model", "none"],
@@ -1107,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of backends for the bit-identity check "
         "(serial, thread, process); serial is always the reference",
     )
-    fuzz.add_argument("--workers", type=int, default=4)
+    fuzz.add_argument("--workers", type=int, default=_usable_cores())
     fuzz.add_argument(
         "--checks",
         default="all",

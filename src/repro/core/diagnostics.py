@@ -17,7 +17,7 @@ import numpy as np
 from repro.constraints.base import Constraint
 from repro.core.state import StructureEstimate
 from repro.errors import DimensionError
-from repro.experiments.report import render_table
+from repro.util.table import render_table
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from repro import obs
 from repro.constraints.base import Constraint
 from repro.constraints.batch import make_batches
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
-from repro.errors import BatchUpdateError
+from repro.core.update import UpdateOptions, apply_batches
 from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import Recorder, current_recorder, recording
 from repro.util.timer import Timer
@@ -86,36 +85,10 @@ class FlatSolver:
             rows=self.n_constraint_rows,
             n_batches=len(self.batches),
         ), recording(rec):
-            with timer:
-                current = estimate
-                # ``produced`` marks ``current`` as this loop's own
-                # intermediate (never the caller's estimate), letting
-                # apply_batch recycle its covariance buffer in place.
-                produced = False
-                with rec.tagged("flat"):
-                    for step, batch in enumerate(self.batches):
-                        try:
-                            current = apply_batch(
-                                current, batch, None, opts, retry_log=retries,
-                                step=step, consume_estimate=produced,
-                            )
-                            produced = True
-                        except BatchUpdateError as exc:
-                            obs.instant(
-                                "batch.quarantined",
-                                cat="fault",
-                                nid="flat",
-                                rows=batch.dimension,
-                            )
-                            obs.inc("solve.batches_quarantined")
-                            quarantined.append(
-                                QuarantineRecord(
-                                    nid="flat",
-                                    n_constraints=len(batch.constraints),
-                                    n_rows=batch.dimension,
-                                    reason=str(exc),
-                                )
-                            )
+            with timer, rec.tagged("flat"):
+                current = apply_batches(
+                    estimate, self.batches, None, opts, "flat", quarantined, retries
+                )
         obs.inc("solve.cycles")
         obs.observe_latency("cycle.seconds", timer.elapsed)
         return FlatCycleResult(

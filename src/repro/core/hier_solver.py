@@ -31,8 +31,8 @@ from repro import obs
 from repro.constraints.batch import make_batches
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
-from repro.errors import BatchUpdateError, HierarchyError, WorkerCrashError
+from repro.core.update import UpdateOptions, apply_batch, apply_batches
+from repro.errors import HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
 from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
@@ -45,7 +45,11 @@ if TYPE_CHECKING:
 
 @dataclass
 class NodeSolveRecord:
-    """Work performed at one tree node during a cycle."""
+    """Work performed at one tree node during a cycle.
+
+    ``quarantined`` and ``retries`` carry a worker's records home; the
+    parallel solver builds its cycle's ledger from them.
+    """
 
     nid: int
     name: str
@@ -55,6 +59,8 @@ class NodeSolveRecord:
     n_batches: int
     seconds: float
     events: list[KernelEvent] = field(default_factory=list)
+    quarantined: tuple[QuarantineRecord, ...] = ()
+    retries: tuple[RetryReport, ...] = ()
 
     @property
     def flops(self) -> float:
@@ -346,43 +352,22 @@ class HierarchicalSolver:
         quarantined: list[QuarantineRecord],
         retries: list[RetryReport],
     ) -> tuple[StructureEstimate, int]:
-        local = prior
         if not node.constraints:
-            return local, 0
+            return prior, 0
         batches = make_batches(node.constraints, self.batch_size)
-        cmap = node.column_map(self.hierarchy.n_atoms)
-        # ``produced`` marks ``local`` as this loop's own intermediate
-        # (never the cached node prior), letting apply_batch recycle its
-        # covariance buffer in place.
-        produced = False
-        for step, batch in enumerate(batches):
-            try:
-                local = apply_batch(
-                    local,
-                    batch,
-                    cmap,
-                    opts,
-                    retry_log=retries,
-                    step=step,
-                    consume_estimate=produced,
-                )
-                produced = True
-            except BatchUpdateError as exc:
-                obs.instant(
-                    "batch.quarantined",
-                    cat="fault",
-                    nid=node.nid,
-                    rows=batch.dimension,
-                )
-                obs.inc("solve.batches_quarantined")
-                quarantined.append(
-                    QuarantineRecord(
-                        nid=node.nid,
-                        n_constraints=len(batch.constraints),
-                        n_rows=batch.dimension,
-                        reason=str(exc),
-                    )
-                )
+        # Looked up in this module on every call, so a wrapper installed at
+        # ``repro.core.hier_solver.apply_batch`` (perfbench's traced run)
+        # sees each batch.
+        local = apply_batches(
+            prior,
+            batches,
+            node.column_map(self.hierarchy.n_atoms),
+            opts,
+            node.nid,
+            quarantined,
+            retries,
+            apply=apply_batch,
+        )
         return local, len(batches)
 
     def solve(

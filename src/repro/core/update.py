@@ -28,6 +28,7 @@ the estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +42,11 @@ from repro.errors import (
     NotPositiveDefiniteError,
 )
 from repro.faults.injector import FaultInjector, current_injector
-from repro.faults.report import RetryAttempt, RetryReport
+from repro.faults.report import QuarantineRecord, RetryAttempt, RetryReport
 from repro.linalg.cholesky import cholesky_factor, cholesky_solve
 from repro.linalg.fast import (
     add_diagonal_inplace,
+    complete_upper,
     gather_cht,
     spmm_support,
     symm,
@@ -184,6 +186,7 @@ def apply_batch(
     retry_log: list[RetryReport] | None = None,
     step: int = 0,
     consume_estimate: bool = False,
+    half_stored: bool = False,
 ) -> StructureEstimate:
     """Apply one constraint batch to ``estimate`` and return the posterior.
 
@@ -201,6 +204,15 @@ def apply_batch(
     0-based index within its solver unit, consumed by
     :attr:`UpdateOptions.schedule` to anneal the measurement variances
     over constraint application.
+
+    The fast kernels read only the upper triangle of the covariance and
+    write only that triangle of the posterior (:mod:`repro.linalg.fast`,
+    "Half storage"), so the posterior is mirrored once before it is
+    returned.  ``half_stored`` is the batch loop's second opt-in (see
+    :func:`apply_batches`): the posterior is returned half-stored, for
+    the loop's next batch to read or for the loop to mirror once.  Where
+    the update leaves nothing half-stored (:func:`half_storage_applies`
+    is false) the flag has no effect.
     """
     if options.local_iterations < 1:
         raise DimensionError("local_iterations must be >= 1")
@@ -254,8 +266,79 @@ def apply_batch(
                 support=support, h_s=h_s, c_owned=c_owned,
             )
             c_owned = True
+        if not half_stored and half_storage_applies(options):
+            complete_upper(c)
 
     return StructureEstimate(x, c)
+
+
+def half_storage_applies(options: UpdateOptions) -> bool:
+    """Whether an update under ``options`` leaves its posterior half-stored.
+
+    The fast and vector tiers downdate one triangle.  The reference tier
+    and the Joseph form compute, and read, the full matrix.
+    """
+    return options.kernel_impl != "reference" and not options.joseph
+
+
+def apply_batches(
+    estimate: StructureEstimate,
+    batches: Sequence[ConstraintBatch],
+    atom_to_column: np.ndarray | None,
+    options: UpdateOptions,
+    unit: int | str,
+    quarantined: list[QuarantineRecord],
+    retries: list[RetryReport],
+    apply: Callable[..., StructureEstimate] = apply_batch,
+) -> StructureEstimate:
+    """Apply ``batches`` in order to ``estimate``: one solver unit's batch loop.
+
+    This is the loop every solver runs per node (``unit`` = node id) or
+    per flat cycle (``unit = "flat"``).  A batch whose update fails
+    terminally is quarantined: a :class:`QuarantineRecord` for ``unit``
+    goes to ``quarantined`` and the loop continues from the last good
+    posterior.  Retry reports go to ``retries``.
+
+    Each batch's output is the loop's own intermediate, so it is passed
+    on half-stored and with ``consume_estimate=True`` (the input
+    ``estimate`` is never consumed).  The returned posterior is always
+    full: where :func:`half_storage_applies`, the loop mirrors it once,
+    after its last batch (:func:`repro.linalg.fast.complete_upper`, an
+    ``m-m`` event).
+    ``apply`` is the per-batch update, looked up by the caller so a
+    wrapper installed at the caller's module name sees every batch.
+    """
+    current = estimate
+    produced = False
+    for step, batch in enumerate(batches):
+        try:
+            current = apply(
+                current,
+                batch,
+                atom_to_column,
+                options,
+                retry_log=retries,
+                step=step,
+                consume_estimate=produced,
+                half_stored=True,
+            )
+            produced = True
+        except BatchUpdateError as exc:
+            obs.instant(
+                "batch.quarantined", cat="fault", nid=unit, rows=batch.dimension
+            )
+            obs.inc("solve.batches_quarantined")
+            quarantined.append(
+                QuarantineRecord(
+                    nid=unit,
+                    n_constraints=len(batch.constraints),
+                    n_rows=batch.dimension,
+                    reason=str(exc),
+                )
+            )
+    if produced and half_storage_applies(options):
+        complete_upper(current.covariance)
+    return current
 
 
 def _update_with_retry(
@@ -435,9 +518,10 @@ def _fast_steps(
 
     The whitened gain factor ``W = C⁻Hᵗ·L⁻ᵗ`` replaces the explicit gain:
     ``K·ν = W·(L⁻¹ν)`` gives the state update and ``C⁺ = C⁻ − W·Wᵗ`` the
-    covariance downdate (a symmetric rank-m ``dsyrk``, lower triangle
-    only, mirrored — exactly symmetric by construction, so the reference
-    path's re-symmetrization pass disappears).  All intermediates live in
+    covariance downdate (a symmetric rank-m ``dsyrk`` of one triangle,
+    which ``apply_batch`` or its batch loop mirrors — exactly symmetric
+    by construction, so the reference path's re-symmetrization pass
+    disappears).  All intermediates live in
     the per-thread workspace arena; the only n×n allocation per attempt
     is the posterior covariance itself, which must outlive the call —
     and with ``c_owned`` even that disappears: the caller has declared
@@ -445,7 +529,9 @@ def _fast_steps(
 
     ``support``/``h_s`` may be supplied by the planned assembler (the
     ``vector`` tier), skipping the per-attempt support scan and dense
-    restriction below.
+    restriction below.  Both readers of ``C⁻`` read only its upper
+    triangle and the downdate writes only that triangle, so the prior
+    may be half-stored and the posterior is.
     """
     m = z.shape[0]
     ws = get_workspace()
@@ -504,7 +590,7 @@ def _fast_steps(
             # Fortran-contiguous and the downdate is symmetric, so dsyrk
             # can work on the view in place.
             c_new = np.array(c, dtype=np.float64, order="C")
-        syrk_downdate(c_new.T, w)
+        syrk_downdate(c_new.T, w, mirror=False)
     return x_new, c_new
 
 

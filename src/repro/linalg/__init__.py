@@ -33,6 +33,7 @@ from repro.linalg.triangular import solve_lower, solve_upper
 from repro.linalg.blocked import tiled_gemm
 from repro.linalg.fast import (
     add_diagonal_inplace,
+    complete_upper,
     gather_cht,
     mirror_lower,
     spmm_support,
@@ -57,6 +58,7 @@ __all__ = [
     "axpy",
     "cholesky_factor",
     "cholesky_solve",
+    "complete_upper",
     "current_recorder",
     "format_profile",
     "gather_cht",

@@ -18,6 +18,19 @@ matrices.  The covariance math has more structure than that:
   FLOPs of the reference ``outer_update`` and making re-symmetrization
   unnecessary (the mirror is exact by construction).
 
+Half storage.  Every reader of ``C`` here (:func:`symm`,
+:func:`gather_cht`) reads only its upper triangle ``C[i, j], j ≥ i``, in
+either memory order.  :func:`syrk_downdate` can leave a matrix that way:
+with ``mirror=False`` it writes only that triangle of a C-ordered
+covariance (the lower triangle of its Fortran-ordered transpose view,
+which is the ``dsyrk`` target) and leaves the strict lower triangle
+stale.  A solver batch loop feeds each posterior straight into its next
+batch, so it carries the covariance *half-stored* and restores the full
+matrix once, after its last batch, with :func:`complete_upper`; a plain
+``apply_batch`` call restores every posterior it returns the same way.
+Mirroring only copies values, so every result stays bitwise identical
+to mirroring after every batch.
+
 All kernels emit :class:`~repro.linalg.counters.KernelEvent` records with
 *corrected* FLOP/byte accounting: FLOPs count what the symmetric
 algorithm actually executes (e.g. ``n²·m`` for the downdate) and bytes
@@ -37,6 +50,7 @@ from repro.linalg.counters import OpCategory, emit, timed
 
 __all__ = [
     "add_diagonal_inplace",
+    "complete_upper",
     "gather_cht",
     "mirror_lower",
     "spmm_support",
@@ -47,20 +61,6 @@ __all__ = [
 
 
 
-def _as_fortran_symmetric(a: np.ndarray) -> np.ndarray:
-    """A Fortran-contiguous alias of a symmetric matrix, without copying.
-
-    A C-contiguous symmetric matrix equals its transpose, and the
-    transpose *view* is Fortran-contiguous — so BLAS can consume it
-    directly instead of scipy's wrapper silently copying the full n².
-    """
-    if a.flags.f_contiguous:
-        return a
-    if a.flags.c_contiguous:
-        return a.T
-    return np.asfortranarray(a)
-
-
 def symm(
     c: np.ndarray,
     b: np.ndarray,
@@ -69,8 +69,9 @@ def symm(
 ) -> np.ndarray:
     """``C @ B`` with ``C`` symmetric, via BLAS ``dsymm``.
 
-    ``C`` is (n×n) symmetric (only its upper triangle is read), ``B`` is
-    (n×m).  ``out``, if given, must be an (n×m) Fortran-contiguous buffer
+    ``C`` is (n×n) symmetric and only its upper triangle is read, so it
+    may be half-stored (see the module docstring); ``B`` is (n×m).
+    ``out``, if given, must be an (n×m) Fortran-contiguous buffer
     that aliases neither operand; the product is written into it in
     place.  FLOPs are the full ``2·n²·m`` (``dsymm`` performs them), but
     the byte count credits the symmetric read: one triangle of ``C``.
@@ -83,14 +84,19 @@ def symm(
         raise DimensionError(f"symm dimension mismatch: {c.shape} @ {b.shape}")
     n, m = b.shape
     t0 = timed()
-    cf = _as_fortran_symmetric(c)
+    # dsymm reads C's upper triangle: directly when C is Fortran-ordered,
+    # else as the lower triangle of its transpose, which for a C-ordered
+    # C is a Fortran-contiguous view that BLAS takes without a copy.
+    cf, lower = (c, 0) if c.flags.f_contiguous else (np.asfortranarray(c.T), 1)
     bf = b if b.flags.f_contiguous else np.asfortranarray(b)
     if out is None:
-        res = _blas.dsymm(1.0, cf, bf, side=0, lower=0)
+        res = _blas.dsymm(1.0, cf, bf, side=0, lower=lower)
     else:
         if out.shape != (n, m) or not out.flags.f_contiguous:
             raise DimensionError("symm out buffer must be Fortran-ordered (n, m)")
-        res = _blas.dsymm(1.0, cf, bf, beta=0.0, c=out, side=0, lower=0, overwrite_c=1)
+        res = _blas.dsymm(
+            1.0, cf, bf, beta=0.0, c=out, side=0, lower=lower, overwrite_c=1
+        )
     seconds = timed() - t0
     flops = 2.0 * n * n * m
     nbytes = 8.0 * (n * (n + 1) / 2.0 + 2.0 * n * m)
@@ -109,9 +115,12 @@ def gather_cht(
     ``H`` (m×n) has non-zeros only in the ``s = len(support)`` state
     columns listed in ``support``; ``h_support`` is its (m×s) dense
     restriction.  Then ``C·Hᵗ = (H_s · C[support, :])ᵗ`` — a thin
-    (m×s)·(s×n) GEMM instead of an O(n²·m) product.  ``out``, if given,
-    is a C-contiguous (m×n) buffer; the Fortran-contiguous transpose
-    view of the result (shape (n, m)) is returned either way.
+    (m×s)·(s×n) GEMM instead of an O(n²·m) product.  Only ``C``'s upper
+    triangle is read, so it may be half-stored (see the module
+    docstring): each gathered row ``i`` is the contiguous ``C[i, i:]``
+    plus the strided column ``C[:i, i]`` above the diagonal.  ``out``, if
+    given, is a C-contiguous (m×n) buffer; the Fortran-contiguous
+    transpose view of the result (shape (n, m)) is returned either way.
     """
     c = np.asarray(c, dtype=np.float64)
     h_support = np.asarray(h_support, dtype=np.float64)
@@ -125,6 +134,10 @@ def gather_cht(
         )
     t0 = timed()
     cs = c[support, :]  # (s, n) row gather; C symmetric so rows == columns
+    # Left of the diagonal those rows may be stale; take them from the
+    # columns above it instead.
+    for r, i in enumerate(support.tolist()):
+        cs[r, :i] = c[:i, i]
     if out is None:
         cht_t = np.dot(h_support, cs)
     else:
@@ -219,14 +232,18 @@ def mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def syrk_downdate(c_out: np.ndarray, w: np.ndarray) -> np.ndarray:
+def syrk_downdate(
+    c_out: np.ndarray, w: np.ndarray, mirror: bool = True
+) -> np.ndarray:
     """Rank-m symmetric downdate ``C ← C − W·Wᵗ`` in place; an ``m-m`` event.
 
     ``c_out`` is an (n×n) Fortran-contiguous matrix updated in place:
     BLAS ``dsyrk`` computes only the lower triangle (``n²·m`` FLOPs —
     half the reference ``outer_update``), which is then mirrored onto
     the upper, so the result is exactly symmetric and needs no separate
-    re-symmetrization pass.
+    re-symmetrization pass.  ``mirror=False`` skips the mirror and leaves
+    ``c_out`` half-stored: only its lower triangle is read and written
+    (see the module docstring).
     """
     c_out = np.asarray(c_out)
     w = np.asarray(w, dtype=np.float64)
@@ -243,7 +260,8 @@ def syrk_downdate(c_out: np.ndarray, w: np.ndarray) -> np.ndarray:
     if res is not c_out and not np.shares_memory(res, c_out):
         # BLAS had to copy (non-contiguous W path); fold the result back.
         c_out[:, :] = res
-    mirror_lower(c_out)
+    if mirror:
+        mirror_lower(c_out)
     seconds = timed() - t0
     flops = float(n) * n * m + float(n) * n
     nbytes = 8.0 * (n * (n + 1) + n * m)
@@ -257,6 +275,27 @@ def syrk_downdate(c_out: np.ndarray, w: np.ndarray) -> np.ndarray:
         if poisoned is not c_out:
             c_out[:, :] = poisoned
     return c_out
+
+
+def complete_upper(c: np.ndarray) -> np.ndarray:
+    """Restore a half-stored matrix in place; an ``m-m`` event of no FLOPs.
+
+    ``c`` holds only its upper triangle (the C-ordered covariance whose
+    downdates ran with ``mirror=False``); its strict lower triangle is
+    overwritten with the mirror image, so ``c`` is exactly symmetric on
+    return.  The bytes are the triangle read plus the triangle written.
+    """
+    n = c.shape[0]
+    if c.ndim != 2 or c.shape != (n, n):
+        raise DimensionError("complete_upper expects a square matrix")
+    t0 = timed()
+    mirror_lower(c.T)
+    seconds = timed() - t0
+    emit(
+        OpCategory.MATMAT, 0.0, 8.0 * n * (n - 1), (n,), seconds,
+        parallel_rows=n, op="mirror",
+    )
+    return c
 
 
 def add_diagonal_inplace(a: np.ndarray, d: np.ndarray | float) -> np.ndarray:

@@ -36,9 +36,10 @@ from repro.constraints.batch import make_batches
 from repro.core.hier_solver import HierCycleResult, NodeSolveRecord
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batch
+from repro.core.update import UpdateOptions, apply_batches
 from repro.errors import HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
+from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
 from repro.parallel.executors import Executor, SerialExecutor
 from repro.parallel.placement import (
@@ -87,12 +88,24 @@ class _NodeTask:
 
 def _run_node_task(
     task: _NodeTask,
-) -> tuple[int, StructureEstimate | None, list[KernelEvent], float, int, dict | None]:
+) -> tuple[
+    int,
+    StructureEstimate | None,
+    list[KernelEvent],
+    float,
+    int,
+    dict | None,
+    list[QuarantineRecord],
+    list[RetryReport],
+]:
     """Worker entry point: apply the node's batches, recording events.
 
     Returns ``(nid, posterior-or-None, events, seconds, n_batches,
-    obs_payload)``; the posterior slot is ``None`` when the task carried
-    a shared-memory handle (the posterior went back through the segment).
+    obs_payload, quarantined, retries)``; the posterior slot is ``None``
+    when the task carried a shared-memory handle (the posterior went back
+    through the segment).  The last two carry the node's
+    :class:`~repro.faults.QuarantineRecord` and
+    :class:`~repro.faults.RetryReport` lists home.
     """
     rec = Recorder()
     timer = Timer()
@@ -120,6 +133,8 @@ def _run_node_task(
         make_batches(task.constraints, task.batch_size) if task.constraints else []
     )
     n_batches = len(batches)
+    quarantined: list[QuarantineRecord] = []
+    retries: list[RetryReport] = []
     with trace_scope, metrics_scope, flight_scope:
         with obs.span(
             f"node[{task.nid}]",
@@ -131,19 +146,15 @@ def _run_node_task(
             rows=sum(b.dimension for b in batches),
             parent_nid=task.parent_nid,
         ), recording(rec), rec.tagged(task.nid), timer:
-            # ``step > 0`` estimates are this loop's own intermediates —
-            # never the node prior (which may live in a shared-memory
-            # plane) — so apply_batch may recycle their covariance
-            # buffers in place.
-            for step, batch in enumerate(batches):
-                estimate = apply_batch(
-                    estimate,
-                    batch,
-                    task.column_map,
-                    task.options,
-                    step=step,
-                    consume_estimate=step > 0,
-                )
+            estimate = apply_batches(
+                estimate,
+                batches,
+                task.column_map,
+                task.options,
+                task.nid,
+                quarantined,
+                retries,
+            )
     if registry is not None:
         registry.histogram("node.seconds").observe(timer.elapsed)
         registry.counter("sched.tasks_completed").inc()
@@ -162,7 +173,10 @@ def _run_node_task(
     if task.prior_handle is not None:
         write_posterior(task.prior_handle, estimate)
         estimate = None
-    return task.nid, estimate, rec.events, timer.elapsed, n_batches, payload
+    return (
+        task.nid, estimate, rec.events, timer.elapsed, n_batches, payload,
+        quarantined, retries,
+    )
 
 
 class ParallelHierarchicalSolver:
@@ -338,8 +352,20 @@ class ParallelHierarchicalSolver:
             root_posterior = cache.load(root.nid)
         root_posterior.scatter_into(final, root.atoms)
         records.sort(key=lambda r: r.nid)
+        # The robustness ledger in the serial solver's post order, so it
+        # does not depend on which node finished first.
+        by_nid = {r.nid: r for r in records}
+        ordered = [
+            by_nid[n.nid] for n in self.hierarchy.post_order() if n.nid in by_nid
+        ]
         return HierCycleResult(
-            final, total.elapsed, merged, records, self.n_constraint_rows
+            final,
+            total.elapsed,
+            merged,
+            records,
+            self.n_constraint_rows,
+            quarantined=tuple(q for r in ordered for q in r.quarantined),
+            retries=tuple(t for r in ordered for t in r.retries),
         )
 
     # ------------------------------------------------- wavefront (legacy)
@@ -784,7 +810,9 @@ class ParallelHierarchicalSolver:
         cache=None,
     ) -> None:
         """Fold one completed node result into the cycle state."""
-        nid, posterior, events, seconds, n_batches, payload = result
+        nid, posterior, events, seconds, n_batches, payload, quarantined, retries = (
+            result
+        )
         if posterior is None:
             posterior = plane.read_posterior(task.prior_handle)
         if cache is not None:
@@ -831,6 +859,8 @@ class ParallelHierarchicalSolver:
                 n_batches=n_batches,
                 seconds=seconds,
                 events=list(events),
+                quarantined=tuple(quarantined),
+                retries=tuple(retries),
             )
         )
 

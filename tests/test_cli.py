@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,16 @@ class TestParser:
     def test_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "dna", "--out", "x.npz"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "p.npz"], ["resolve", "--session-dir", "d"], ["fuzz"]],
+        ids=["solve", "resolve", "fuzz"],
+    )
+    def test_workers_default_to_usable_cores(self, argv):
+        # Running more workers than the process may use only oversubscribes.
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:
+            usable = os.cpu_count()
+        assert build_parser().parse_args(argv).workers == usable

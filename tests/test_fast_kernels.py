@@ -15,9 +15,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.flat import FlatSolver
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.state import StructureEstimate
-from repro.core.update import KERNEL_IMPLS, UpdateOptions, apply_batch
+from repro.core.update import KERNEL_IMPLS, UpdateOptions, apply_batch, apply_batches
 from repro.constraints import (
     AngleConstraint,
     DistanceBoundConstraint,
@@ -31,6 +32,7 @@ from repro.errors import DimensionError
 from repro.linalg import (
     Workspace,
     add_diagonal_inplace,
+    complete_upper,
     gather_cht,
     get_workspace,
     mirror_lower,
@@ -185,6 +187,54 @@ class TestSmallKernels:
         assert OpCategory.MATMAT in cats
         assert len(cats) == 2
         assert all(e.flops > 0 and e.bytes > 0 for e in rec.events)
+
+
+def _stale_lower(c):
+    """``c`` half-stored: its strict lower triangle overwritten with NaN."""
+    half = np.array(c, order="C")
+    half[np.tril_indices(c.shape[0], -1)] = np.nan
+    return half
+
+
+class TestHalfStorage:
+    """Readers of a half-stored covariance never touch its stale triangle."""
+
+    @pytest.mark.parametrize("n", [1, 6, 21, 64, 200, 700])
+    @pytest.mark.parametrize("m", [1, 5, 16])
+    def test_symm_reads_only_the_upper_triangle(self, rng, n, m):
+        c = _spd(rng, n)
+        b = np.asfortranarray(rng.normal(0, 1, (n, m)))
+        assert np.array_equal(symm(_stale_lower(c), b), symm(c, b))
+
+    @pytest.mark.parametrize(
+        "support",
+        [[0], [0, 1, 2], [3, 4, 5, 21, 22, 23], [1, 9, 17, 38], [39, 40, 41]],
+    )
+    def test_gather_cht_reads_only_the_upper_triangle(self, rng, support):
+        n, m = 42, 4
+        c = _spd(rng, n)
+        support = np.array(support)
+        h_s = rng.normal(0, 1, (m, support.size))
+        full = gather_cht(c, h_s, support)
+        assert np.array_equal(gather_cht(_stale_lower(c), h_s, support), full)
+
+    def test_unmirrored_downdate_then_completion_equals_mirrored(self, rng):
+        c = _spd(rng, 13)
+        w = rng.normal(0, 1, (13, 3))
+        mirrored = syrk_downdate(np.asfortranarray(c), w)
+        half = np.array(c, order="C")
+        syrk_downdate(half.T, w, mirror=False)
+        assert not np.array_equal(half, half.T)  # the lower triangle is stale
+        assert np.array_equal(np.triu(half), np.triu(mirrored))
+        assert complete_upper(half) is half
+        assert np.array_equal(half, mirrored)
+
+    def test_completion_is_an_m_m_event_without_flops(self, rng):
+        with recording() as rec:
+            complete_upper(_stale_lower(_spd(rng, 9)))
+        (event,) = rec.events
+        assert event.category is OpCategory.MATMAT
+        assert event.flops == 0.0 and event.bytes == 8.0 * 9 * 8
 
 
 # ----------------------------------------------------------------- workspace
@@ -545,6 +595,50 @@ class TestConsumeEstimate:
         apply_batch(mid, batches[1], options=opts)
         assert (mid.covariance == snapshot).all()
 
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            UpdateOptions(kernel_impl="fast"),
+            UpdateOptions(kernel_impl="vector"),
+            UpdateOptions(kernel_impl="vector", local_iterations=2),
+        ],
+        ids=["fast", "vector", "local_iterations"],
+    )
+    def test_half_stored_chain_bitwise_equals_full_chain(self, rng, opts):
+        """The batch loops' opt-in: no mirror per batch, one at the end."""
+        estimate, constraints = _random_problem(rng)
+        batches = make_batches(constraints, 8)
+        full = estimate
+        for batch in batches:
+            full = apply_batch(full, batch, options=opts)
+            assert np.array_equal(full.covariance, full.covariance.T)
+        half = estimate
+        for step, batch in enumerate(batches):
+            half = apply_batch(
+                half, batch, options=opts, consume_estimate=step > 0,
+                half_stored=True,
+            )
+            assert not np.array_equal(half.covariance, half.covariance.T)
+        complete_upper(half.covariance)
+        assert (half.mean == full.mean).all()
+        assert (half.covariance == full.covariance).all()
+        looped = apply_batches(estimate, batches, None, opts, "flat", [], [])
+        assert (looped.covariance == full.covariance).all()
+        # The caller's prior is never consumed or half-stored.
+        assert (estimate.covariance == estimate.covariance.T).all()
+
+    @pytest.mark.parametrize(
+        "opts",
+        [UpdateOptions(kernel_impl="reference"), UpdateOptions(joseph=True)],
+        ids=["reference", "joseph"],
+    )
+    def test_full_matrix_updates_ignore_the_half_stored_flag(self, rng, opts):
+        estimate, constraints = _random_problem(rng)
+        out = estimate
+        for batch in make_batches(constraints, 8):
+            out = apply_batch(out, batch, options=opts, half_stored=True)
+            assert (out.covariance == out.covariance.T).all()
+
     @pytest.mark.parametrize("impl", ["fast", "vector"])
     def test_local_iterations_consume_their_own_intermediates(self, rng, impl):
         """Iterations ≥2 own the running covariance even without the flag."""
@@ -555,6 +649,34 @@ class TestConsumeEstimate:
         out = apply_batch(estimate, batches[0], options=one)
         assert (estimate.covariance == snapshot).all()
         assert np.all(np.isfinite(out.covariance))
+
+
+class TestSolversReturnExactlySymmetricCovariances:
+    """Half storage never leaves a batch loop, on any solver or backend."""
+
+    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    def test_serial_solvers(self, helix2_problem, impl):
+        est = helix2_problem.initial_estimate(0)
+        opts = UpdateOptions(kernel_impl=impl)
+        hier = HierarchicalSolver(helix2_problem.hierarchy, 16, options=opts)
+        flat = FlatSolver(helix2_problem.constraints, 16, options=opts)
+        for res in (hier.run_cycle(est), flat.run_cycle(est)):
+            cov = res.estimate.covariance
+            assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("backend", sorted(EXECUTORS))
+    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    def test_parallel_solver(self, helix2_problem, backend, impl):
+        est = helix2_problem.initial_estimate(0)
+        with EXECUTORS[backend]() as ex:
+            res = ParallelHierarchicalSolver(
+                helix2_problem.hierarchy,
+                batch_size=16,
+                options=UpdateOptions(kernel_impl=impl),
+                executor=ex,
+            ).run_cycle(est)
+        cov = res.estimate.covariance
+        assert np.array_equal(cov, cov.T)
 
 
 class TestFastMatchesReferenceFuzzShapes:

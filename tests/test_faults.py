@@ -27,6 +27,7 @@ from repro.faults import (
     fault_injection,
 )
 from repro.linalg.cholesky import cholesky_factor
+from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor, ThreadExecutor
 
 
 def indefinite_estimate(bad=-1e-4):
@@ -175,6 +176,24 @@ class TestQuarantine:
         assert report.quarantined_constraints == len(helix2_problem.constraints)
         assert report.quarantined_rows == solver.n_constraint_rows
         assert len(report.quarantine) > 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_backends_quarantine_like_serial(self, helix2_problem, backend):
+        est = helix2_problem.initial_estimate(0)
+        opts = UpdateOptions(max_retries=1)
+        make = {"thread": ThreadExecutor, "process": ProcessExecutor}[backend]
+        with fault_injection(FaultInjector(FaultConfig(corrupt_p=1.0, seed=0))):
+            serial = HierarchicalSolver(
+                helix2_problem.hierarchy, 16, options=opts
+            ).run_cycle(est)
+            with make(2) as ex:
+                parallel = ParallelHierarchicalSolver(
+                    helix2_problem.hierarchy, 16, options=opts, executor=ex
+                ).run_cycle(est)
+        assert len(serial.quarantined) > 0
+        assert parallel.quarantined == serial.quarantined
+        assert parallel.retries == serial.retries
+        assert np.array_equal(parallel.estimate.mean, serial.estimate.mean)
 
     def test_clean_solve_reports_no_quarantine(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
