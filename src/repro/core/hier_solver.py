@@ -89,6 +89,27 @@ class HierCycleResult:
         return {r.nid: r for r in self.records}
 
 
+def cycle_output(
+    hierarchy: Hierarchy,
+    estimate: StructureEstimate,
+    node_results: dict[int, StructureEstimate],
+    cache: "NodeCacheProtocol | None",
+) -> StructureEstimate:
+    """A cycle's output: ``estimate`` with the root posterior over the root's atoms.
+
+    A new estimate (:meth:`StructureEstimate.embedded_in`); neither the
+    cycle input nor the root posterior, which a session cache may hold,
+    is written or aliased.
+    """
+    root = hierarchy.root
+    posterior = node_results.get(root.nid)
+    if posterior is None:
+        # Possible only on a dirty-restricted pass with an empty frontier
+        # (a no-op re-solve); the cached root stands.
+        posterior = cache.load(root.nid)
+    return posterior.embedded_in(estimate, root.atoms)
+
+
 class HierarchicalSolver:
     """Post-order solver over a constraint-assigned :class:`Hierarchy`.
 
@@ -164,6 +185,12 @@ class HierarchicalSolver:
         warm state current.  Restricted passes are the session's domain:
         they cannot be combined with the solver-level ``checkpoint``
         (sessions persist through their own :class:`SessionStore`).
+
+        The cycle never writes ``estimate``: leaves take their block
+        through :meth:`StructureEstimate.extract_atoms`, which copies, and
+        the output is a new estimate.  Callers may pass an estimate they
+        keep (a session's warm start) without copying it, and arrays
+        marked read-only work.
         """
         if estimate.n_atoms != self.hierarchy.n_atoms:
             raise HierarchyError(
@@ -228,14 +255,7 @@ class HierarchicalSolver:
                         cache.store(node.nid, node_results[node.nid])
         obs.inc("solve.cycles")
         obs.observe_latency("cycle.seconds", total_timer.elapsed)
-        root = self.hierarchy.root
-        final = estimate.copy()
-        root_posterior = node_results.get(root.nid)
-        if root_posterior is None:
-            # Possible only on a dirty-restricted pass with an empty
-            # frontier (a no-op re-solve); the cached root stands.
-            root_posterior = cache.load(root.nid)
-        root_posterior.scatter_into(final, root.atoms)
+        final = cycle_output(self.hierarchy, estimate, node_results, cache)
         if ck is not None:
             ck.finish_cycle(cycle, final)
         self._cycle_index += 1
@@ -357,7 +377,10 @@ class HierarchicalSolver:
         batches = make_batches(node.constraints, self.batch_size)
         # Looked up in this module on every call, so a wrapper installed at
         # ``repro.core.hier_solver.apply_batch`` (perfbench's traced run)
-        # sees each batch.
+        # sees each batch.  ``prior`` was built for this node alone
+        # (extract_atoms or block_diagonal), so the first batch consumes
+        # it.  A node restarts only under an active fault injector, which
+        # disables every in-place downdate, so a restart reads it intact.
         local = apply_batches(
             prior,
             batches,
@@ -367,6 +390,7 @@ class HierarchicalSolver:
             quarantined,
             retries,
             apply=apply_batch,
+            consume_estimate=True,
         )
         return local, len(batches)
 

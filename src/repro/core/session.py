@@ -275,6 +275,8 @@ class SolveSession:
                 labels=self.labels,
             )
         self.cache = _SessionCache(self, plane=self._plane)
+        # The solver's (reporting-only) row count starts at 0 here and is
+        # kept current by every method that changes the constraint set.
         if constraints:
             self.add_constraints(constraints)
 
@@ -350,6 +352,7 @@ class SolveSession:
             self._owner[cid] = owner
             self._node_cids.setdefault(owner, []).append(cid)
             self.hierarchy.nodes[owner].constraints.append(c)
+            self.solver.n_constraint_rows += c.dimension
             cids.append(cid)
             seeds.append(owner)
         self._mark_dirty(seeds)
@@ -363,7 +366,7 @@ class SolveSession:
             if cid not in self._constraints:
                 raise SessionError(f"unknown constraint id {cid}")
             owner = self._owner.pop(cid)
-            del self._constraints[cid]
+            self.solver.n_constraint_rows -= self._constraints.pop(cid).dimension
             self._node_cids[owner].remove(cid)
             self._rebuild_node(owner)
             seeds.append(owner)
@@ -383,6 +386,9 @@ class SolveSession:
                 raise SessionError(f"unknown constraint id {cid}")
             old_owner = self._owner[cid]
             new_owner = self._lca_owner(c)
+            self.solver.n_constraint_rows += (
+                c.dimension - self._constraints[cid].dimension
+            )
             self._constraints[cid] = c
             if new_owner == old_owner:
                 self._rebuild_node(old_owner)
@@ -403,15 +409,6 @@ class SolveSession:
         if self._plane is not None:
             self._plane.generation = self.generation
         return self.generation
-
-    def _run_pass(
-        self, start: StructureEstimate, dirty: frozenset[int] | None
-    ):
-        # Keep the (reporting-only) row count honest across deltas.
-        self.solver.n_constraint_rows = sum(
-            n.n_constraint_rows for n in self.hierarchy.nodes
-        )
-        return self.solver.run_cycle(start, dirty=dirty, cache=self.cache)
 
     def solve(
         self,
@@ -437,6 +434,8 @@ class SolveSession:
                 f"estimate covers {initial.n_atoms} atoms, hierarchy expects "
                 f"{self.hierarchy.n_atoms}"
             )
+        # The session's one copy of the caller's covariance, so it never
+        # aliases an array the caller owns.
         prior_cov = initial.covariance.copy()
         current = initial
         deltas: list[float] = []
@@ -449,9 +448,11 @@ class SolveSession:
             constraints=len(self._constraints),
         ):
             for _cycle in range(1, max_cycles + 1):
-                start = StructureEstimate(current.mean.copy(), prior_cov.copy())
+                # The solver never writes its input, so every cycle shares
+                # the session's one copy of the prior covariance.
+                start = StructureEstimate(current.mean.copy(), prior_cov)
                 self._bump_generation()
-                result = self._run_pass(start, dirty=None)
+                result = self.solver.run_cycle(start, dirty=None, cache=self.cache)
                 nxt = result.estimate
                 if gauge_invariant:
                     from repro.molecules.superpose import superposed_rmsd
@@ -517,11 +518,10 @@ class SolveSession:
                 self._persist_manifest(staged=sorted(dirty))
                 self._streaming = True
             try:
-                start = StructureEstimate(
-                    self._cycle_input.mean.copy(),
-                    self._cycle_input.covariance.copy(),
+                # Passed uncopied: the solver never writes its input.
+                result = self.solver.run_cycle(
+                    self._cycle_input, dirty=dirty, cache=self.cache
                 )
-                result = self._run_pass(start, dirty=dirty)
             finally:
                 self._streaming = False
         self._dirty.clear()
@@ -646,6 +646,7 @@ class SolveSession:
             session._owner[cid] = owner
             session._node_cids.setdefault(owner, []).append(cid)
             hierarchy.nodes[owner].constraints.append(c)
+            session.solver.n_constraint_rows += c.dimension
         session._next_cid = manifest["next_cid"]
         session._node_generation = {
             int(k): v for k, v in manifest["node_generations"].items()

@@ -17,6 +17,13 @@ import numpy as np
 from repro.errors import DimensionError
 from repro.util.validation import as_matrix, as_vector, symmetrize
 
+#: Shortest mean run, in state columns, at which copying blocks between
+#: runs of consecutive atom ids beats the fancy-index scatter in
+#: :meth:`StructureEstimate.embedded_in`: below it the per-block call
+#: overhead costs more than the scatter saves (measured crossover 11–17
+#: columns at 300 and 900 atoms, one BLAS thread).
+_MIN_MEAN_RUN = 16
+
 
 @dataclass
 class StructureEstimate:
@@ -148,6 +155,47 @@ class StructureEstimate:
             raise DimensionError("atom_ids do not match this estimate's size")
         target.mean[cols] = self.mean
         target.covariance[np.ix_(cols, cols)] = self.covariance
+
+    def embedded_in(
+        self, base: "StructureEstimate", atom_ids: np.ndarray
+    ) -> "StructureEstimate":
+        """A new estimate: ``base`` with this estimate written at ``atom_ids``.
+
+        The same bits as ``base.copy()`` followed by :meth:`scatter_into`,
+        and neither input is modified or aliased.  When ``atom_ids`` is a
+        permutation of every atom of ``base`` (a hierarchy root that owns
+        the whole molecule) whose runs of consecutive atom ids average at
+        least ``_MIN_MEAN_RUN`` state columns (1 run on the helix, 25 on
+        the ribosome), ``base`` is not read at all: the output is this
+        estimate permuted into global order, copied as rectangular blocks
+        between the runs, so each element is written once.  Otherwise it
+        is the copy and the scatter.
+        """
+        atom_ids = np.asarray(atom_ids, dtype=np.int64)
+        if 3 * atom_ids.size != self.dim:
+            raise DimensionError("atom_ids do not match this estimate's size")
+        breaks = np.flatnonzero(np.diff(atom_ids) != 1) + 1
+        owns_all = np.array_equal(np.sort(atom_ids), np.arange(base.n_atoms))
+        if not owns_all or self.dim < _MIN_MEAN_RUN * (breaks.size + 1):
+            out = base.copy()
+            self.scatter_into(out, atom_ids)
+            return out
+        # Run k copies local slots [3·starts[k], 3·ends[k]) to global
+        # columns from 3·atom_ids[starts[k]] on.
+        starts = np.concatenate(([0], breaks))
+        ends = np.concatenate((breaks, [atom_ids.size]))
+        runs = [
+            (slice(3 * a, 3 * (a + e - s)), slice(3 * s, 3 * e))
+            for a, s, e in zip(atom_ids[starts].tolist(), starts.tolist(), ends.tolist())
+        ]
+        mean = np.empty_like(self.mean)
+        cov = np.empty_like(self.covariance)
+        for rows_out, rows_in in runs:
+            mean[rows_out] = self.mean[rows_in]
+            band_out, band_in = cov[rows_out], self.covariance[rows_in]
+            for cols_out, cols_in in runs:
+                band_out[:, cols_out] = band_in[:, cols_in]
+        return StructureEstimate(mean, cov)
 
     def rmsd(self, other_coords: np.ndarray) -> float:
         """Root-mean-square coordinate deviation from ``other_coords`` (p,3)."""

@@ -198,7 +198,8 @@ def apply_batch(
     buffer may then be recycled as the posterior's storage instead of
     copied (identical arithmetic, one fewer n×n copy).  Solver batch loops
     pass it for their own intermediates — the output of batch ``k`` fed to
-    batch ``k+1`` — never for caller-visible estimates.  ``retry_log``, if
+    batch ``k+1`` — and for a node prior the solver built for that node
+    alone, never for caller-visible estimates.  ``retry_log``, if
     given, collects a :class:`~repro.faults.RetryReport` for every attempt
     sequence that needed at least one retry.  ``step`` is this batch's
     0-based index within its solver unit, consumed by
@@ -290,6 +291,7 @@ def apply_batches(
     quarantined: list[QuarantineRecord],
     retries: list[RetryReport],
     apply: Callable[..., StructureEstimate] = apply_batch,
+    consume_estimate: bool = False,
 ) -> StructureEstimate:
     """Apply ``batches`` in order to ``estimate``: one solver unit's batch loop.
 
@@ -300,11 +302,14 @@ def apply_batches(
     posterior.  Retry reports go to ``retries``.
 
     Each batch's output is the loop's own intermediate, so it is passed
-    on half-stored and with ``consume_estimate=True`` (the input
-    ``estimate`` is never consumed).  The returned posterior is always
-    full: where :func:`half_storage_applies`, the loop mirrors it once,
-    after its last batch (:func:`repro.linalg.fast.complete_upper`, an
-    ``m-m`` event).
+    on half-stored and with ``consume_estimate=True``.  The input
+    ``estimate`` is consumed only when the caller opts in with
+    ``consume_estimate``, declaring that it built ``estimate`` for this
+    loop alone: the first batch then downdates its covariance in place
+    too.  The returned posterior is always full: where
+    :func:`half_storage_applies`, the loop mirrors it once, after its
+    last batch (:func:`repro.linalg.fast.complete_upper`, an ``m-m``
+    event).
     ``apply`` is the per-batch update, looked up by the caller so a
     wrapper installed at the caller's module name sees every batch.
     """
@@ -319,7 +324,7 @@ def apply_batches(
                 options,
                 retry_log=retries,
                 step=step,
-                consume_estimate=produced,
+                consume_estimate=consume_estimate or produced,
                 half_stored=True,
             )
             produced = True

@@ -33,7 +33,7 @@ import numpy as np
 from repro import obs
 from repro.constraints.base import Constraint
 from repro.constraints.batch import make_batches
-from repro.core.hier_solver import HierCycleResult, NodeSolveRecord
+from repro.core.hier_solver import HierCycleResult, NodeSolveRecord, cycle_output
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batches
@@ -146,6 +146,9 @@ def _run_node_task(
             rows=sum(b.dimension for b in batches),
             parent_nid=task.parent_nid,
         ), recording(rec), rec.tagged(task.nid), timer:
+            # ``read_prior`` returns this worker's private copy; the
+            # segment's prior slot stays intact for a resubmit.  An inline
+            # prior is the dispatcher's object, reused on resubmit.
             estimate = apply_batches(
                 estimate,
                 batches,
@@ -154,6 +157,7 @@ def _run_node_task(
                 task.nid,
                 quarantined,
                 retries,
+                consume_estimate=task.prior_handle is not None,
             )
     if registry is not None:
         registry.histogram("node.seconds").observe(timer.elapsed)
@@ -290,6 +294,10 @@ class ParallelHierarchicalSolver:
         backed by this solver's borrowed ``plane``, a completed node's
         shared-memory segment is *promoted* into the cache in place of a
         host-side copy (see :meth:`SharedEstimatePlane.promote`).
+
+        Like the serial solver, the cycle never writes ``estimate``: a
+        leaf task's prior is an :meth:`StructureEstimate.extract_atoms`
+        copy, and the output is a new estimate.
         """
         if estimate.n_atoms != self.hierarchy.n_atoms:
             raise HierarchyError(
@@ -344,13 +352,7 @@ class ParallelHierarchicalSolver:
         obs.observe_latency("cycle.seconds", total.elapsed)
         if self.labels:
             obs.inc("solve.cycles", labels=self.labels)
-        root = self.hierarchy.root
-        final = estimate.copy()
-        root_posterior = node_results.get(root.nid)
-        if root_posterior is None:
-            # Empty dirty frontier (no-op re-solve): the cached root stands.
-            root_posterior = cache.load(root.nid)
-        root_posterior.scatter_into(final, root.atoms)
+        final = cycle_output(self.hierarchy, estimate, node_results, cache)
         records.sort(key=lambda r: r.nid)
         # The robustness ledger in the serial solver's post order, so it
         # does not depend on which node finished first.

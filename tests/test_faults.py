@@ -309,7 +309,9 @@ class TestCrashAbsorption:
             ).run_cycle(est)
         assert inj.injected["crash"] > 0  # faults actually fired...
         # ...and node restarts erased them: results identical to clean.
+        # The covariance too, so a restart from a consumed prior would fail.
         assert np.array_equal(res.estimate.mean, clean.estimate.mean)
+        assert np.array_equal(res.estimate.covariance, clean.estimate.covariance)
 
 
 class TestCholeskyDiagnostics:

@@ -5,10 +5,12 @@ dirty path is *bit-identical* to a cold full pass over the edited
 problem from the same warm start, on every backend.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
-from repro.constraints import DistanceConstraint
+from repro.constraints import DistanceConstraint, PositionConstraint
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.hierarchy import assign_constraints
 from repro.core.session import SessionResolveResult, SolveSession
@@ -16,7 +18,7 @@ from repro.core.state import StructureEstimate
 from repro.errors import CheckpointError, HierarchyError, SessionError
 from repro.faults import CheckpointManager, SessionStore
 from repro.molecules.rna import build_helix
-from repro.parallel import ProcessExecutor, ThreadExecutor
+from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor, ThreadExecutor
 
 
 def _leaf_delta(problem, leaf_index: int = 0) -> DistanceConstraint:
@@ -52,6 +54,13 @@ def _assert_estimates_equal(a: StructureEstimate, b: StructureEstimate) -> None:
     assert np.array_equal(a.covariance, b.covariance)
 
 
+def _assert_row_count_current(session: SolveSession) -> None:
+    """The solver's row count, kept by the edit methods, matches the tree."""
+    assert session.solver.n_constraint_rows == sum(
+        n.n_constraint_rows for n in session.hierarchy.nodes
+    )
+
+
 @pytest.fixture
 def booted_session(helix2_problem):
     """A serial session bootstrapped to a warm state (3 cycles)."""
@@ -70,6 +79,7 @@ class TestDeltaRouting:
         expected = {n.nid for n in problem.hierarchy.ancestor_path(leaf)}
         assert session.dirty_nids == expected
         assert session.owner_of(cid) == leaf.nid
+        _assert_row_count_current(session)
 
     def test_cross_leaf_constraint_owned_by_lca(self, booted_session):
         problem, session = booted_session
@@ -89,6 +99,7 @@ class TestDeltaRouting:
         expected = {n.nid for n in problem.hierarchy.ancestor_path(leaf)}
         assert session.dirty_nids == expected
         assert cid not in session.constraints
+        _assert_row_count_current(session)
 
     def test_update_across_owners_marks_both_paths(self, booted_session):
         problem, session = booted_session
@@ -102,6 +113,13 @@ class TestDeltaRouting:
         } | {n.nid for n in problem.hierarchy.ancestor_path(leaves[1])}
         assert session.dirty_nids == expected
         assert session.owner_of(cid) == leaves[1].nid
+        _assert_row_count_current(session)
+        # An in-place update that changes the constraint's row count.
+        atom = int(leaves[1].atoms[0])
+        session.update_constraints(
+            {cid: PositionConstraint(atom, problem.true_coords[atom], 0.01)}
+        )
+        _assert_row_count_current(session)
 
     def test_unknown_cid_rejected(self, booted_session):
         _, session = booted_session
@@ -191,6 +209,60 @@ class TestWarmResolveBitIdentity:
         assert result.seconds > 0
 
 
+#: Executor factory per backend; ``None`` is the serial solver.
+BACKENDS = {
+    "serial": nullcontext,
+    "thread": lambda: ThreadExecutor(2),
+    "process": lambda: ProcessExecutor(2),
+}
+
+
+class TestSolversNeverWriteTheirInput:
+    """``run_cycle`` never writes its input estimate, on any backend.
+
+    This contract is what lets a session pass its warm start to every
+    cycle and every resolve without copying it.
+    """
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_read_only_input_gives_the_same_bits(self, helix2_problem, backend):
+        est = helix2_problem.initial_estimate(0)
+        frozen = est.copy()
+        frozen.mean.setflags(write=False)
+        frozen.covariance.setflags(write=False)
+        with BACKENDS[backend]() as executor:
+            solver = (
+                HierarchicalSolver(helix2_problem.hierarchy, 16)
+                if executor is None
+                else ParallelHierarchicalSolver(
+                    helix2_problem.hierarchy, 16, executor=executor
+                )
+            )
+            writable = solver.run_cycle(est.copy())
+            read_only = solver.run_cycle(frozen)
+        _assert_estimates_equal(read_only.estimate, writable.estimate)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_session_warm_start_survives_edits_and_resolves(
+        self, helix2_problem, backend
+    ):
+        est = helix2_problem.initial_estimate(0)
+        with BACKENDS[backend]() as executor, SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            executor=executor,
+        ) as session:
+            session.solve(est, max_cycles=2, tol=0.0)
+            warm = session._cycle_input.copy()
+            (cid,) = session.add_constraints([_leaf_delta(helix2_problem, 0)])
+            session.resolve()
+            session.update_constraints({cid: _leaf_delta(helix2_problem, 1)})
+            session.resolve()
+            session.remove_constraints([cid])
+            session.resolve()
+            session.resolve(scope="full")
+            _assert_estimates_equal(session._cycle_input, warm)
+
+
 class TestSharedMemoryPinning:
     def test_clean_segments_survive_resolves(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
@@ -238,6 +310,7 @@ class TestPersistence:
         # given the same further edit, must land on the same bits.
         twin = SolveSession.load(tmp_path)
         assert twin.generation == session.generation
+        _assert_row_count_current(twin)
         _assert_estimates_equal(
             twin.cache.load(helix2_problem.hierarchy.root.nid),
             session.cache.load(helix2_problem.hierarchy.root.nid),
@@ -285,6 +358,7 @@ class TestPersistence:
             session.resolve()
 
         resumed = SolveSession.load(tmp_path)
+        _assert_row_count_current(resumed)
         # Exactly the staged nodes that had not completed remain dirty.
         remaining = resumed.dirty_nids
         assert remaining < frozenset(staged)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.decompose import recursive_coordinate_bisection
+from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
 from repro.errors import DimensionError
+from repro.molecules import build_helix, build_ribo30s
 
 
 def make_estimate(rng, p=4):
@@ -127,6 +130,60 @@ class TestSlicing:
         sub = est.extract_atoms(np.array([0]))
         with pytest.raises(DimensionError):
             sub.scatter_into(est, np.array([0, 1]))
+
+
+def _partial_hierarchy() -> Hierarchy:
+    """Two leaves over 5 of 9 atoms, out of order: the fallback path."""
+    leaves = [HierarchyNode(np.array([6, 7])), HierarchyNode(np.array([1, 3, 4]))]
+    return Hierarchy(HierarchyNode(np.array([6, 7, 1, 3, 4]), leaves), 9)
+
+
+#: Roots whose atom order is the identity (one run), long permuted runs
+#: (25 on the ribosome), short permuted runs (a spatial bisection) and a
+#: subset of the atoms.  The last two take the copy-and-scatter path.
+ROOTS = {
+    "helix": lambda: build_helix(2).hierarchy,
+    "ribosome": lambda: build_ribo30s(0).hierarchy,
+    "bisection": lambda: recursive_coordinate_bisection(
+        build_helix(2).true_coords, max_leaf_atoms=4
+    ),
+    "partial": _partial_hierarchy,
+}
+
+
+def _read_only(est: StructureEstimate) -> StructureEstimate:
+    est.mean.setflags(write=False)
+    est.covariance.setflags(write=False)
+    return est
+
+
+class TestEmbeddedIn:
+    @pytest.mark.parametrize("root", sorted(ROOTS))
+    def test_equals_copy_then_scatter(self, rng, root):
+        hierarchy = ROOTS[root]()
+        atoms = hierarchy.root.atoms
+        n, m = 3 * hierarchy.n_atoms, 3 * atoms.size
+        base = _read_only(
+            StructureEstimate(rng.normal(size=n), rng.normal(size=(n, n)))
+        )
+        posterior = _read_only(
+            StructureEstimate(rng.normal(size=m), rng.normal(size=(m, m)))
+        )
+        want = base.copy()
+        posterior.scatter_into(want, atoms)
+        got = posterior.embedded_in(base, atoms)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.covariance, want.covariance)
+        inputs = (base.mean, base.covariance, posterior.mean, posterior.covariance)
+        for arr in (got.mean, got.covariance):
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, x) for x in inputs)
+
+    def test_size_mismatch(self, rng):
+        est = make_estimate(rng, p=3)
+        sub = est.extract_atoms(np.array([0]))
+        with pytest.raises(DimensionError):
+            sub.embedded_in(est, np.array([0, 1]))
 
 
 class TestRmsd:
