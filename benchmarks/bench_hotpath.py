@@ -69,7 +69,6 @@ def _bench_one(
     repeats: int,
     workers: int,
     seed: int = 0,
-    placement: str = "none",
 ) -> dict:
     estimate = problem.initial_estimate(seed)
     options = UpdateOptions(kernel_impl=impl)
@@ -79,7 +78,6 @@ def _bench_one(
             batch_size=16,
             options=options,
             executor=executor,
-            placement=None if placement == "none" else placement,
         )
         best = float("inf")
         for _ in range(repeats):
@@ -94,7 +92,6 @@ def _bench_one(
     return {
         "backend": backend,
         "kernel_impl": impl,
-        "placement": placement,
         "seconds": best,
         "seconds_per_row": best / rows,
         "n_constraint_rows": rows,
@@ -140,7 +137,7 @@ def _bench_flat(problem, impl: str, repeats: int, seed: int = 0) -> dict:
 
 def run_suite(
     problems, backends, repeats: int, workers: int, seed: int = 0,
-    placement: str = "none", impls=IMPLS,
+    impls=IMPLS,
 ) -> dict:
     results: dict[str, list[dict]] = {}
     for pname in problems:
@@ -162,9 +159,7 @@ def run_suite(
                 )
         for backend in backends:
             for impl in impls:
-                entry = _bench_one(
-                    problem, backend, impl, repeats, workers, seed, placement
-                )
+                entry = _bench_one(problem, backend, impl, repeats, workers, seed)
                 entries.append(entry)
                 print(
                     f"{pname:9s} {backend:8s} {impl:10s} "
@@ -444,14 +439,6 @@ def main(argv=None) -> int:
         "$REPRO_BENCH_OBS_DIR when set",
     )
     ap.add_argument(
-        "--placement",
-        choices=("none", "model"),
-        default="none",
-        help="route dependency dispatch through cost-packed lane queues "
-        "with work-stealing (see benchmarks/bench_placement.py for the "
-        "dedicated before/after comparison)",
-    )
-    ap.add_argument(
         "--heartbeat",
         default=None,
         metavar="PATH[:SECS]",
@@ -486,7 +473,6 @@ def main(argv=None) -> int:
             repeats,
             args.workers,
             args.seed,
-            args.placement,
             impls=args.impls,
         )
     wall_seconds = time.perf_counter() - wall0
@@ -501,7 +487,6 @@ def main(argv=None) -> int:
         "repeats": repeats,
         "workers": args.workers,
         "seed": args.seed,
-        "placement": args.placement,
         "kernel_impls": list(args.impls),
         "environment": _environment(snapshotter, wall_seconds),
         "results": results,

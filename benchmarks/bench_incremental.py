@@ -72,7 +72,6 @@ def _bench_one(
     cycles: int,
     workers: int,
     seed: int,
-    placement: str = "none",
 ) -> dict:
     problem = PROBLEMS[pname](seed)
     rng = np.random.default_rng(seed)
@@ -84,7 +83,6 @@ def _bench_one(
             problem.constraints,
             batch_size=16,
             executor=executor,
-            placement=None if placement == "none" else placement,
         ) as session:
             t0 = time.perf_counter()
             session.solve(estimate, max_cycles=cycles, tol=0.0)
@@ -108,7 +106,6 @@ def _bench_one(
             n_nodes = len(problem.hierarchy.nodes)
             entry = {
                 "backend": backend,
-                "placement": placement,
                 "cycles": cycles,
                 "n_nodes": n_nodes,
                 "dirty_nodes": warm.n_dirty,
@@ -135,13 +132,10 @@ def _bench_one(
     return entry
 
 
-def run_suite(
-    problems, backends, cycles: int, workers: int, seed: int,
-    placement: str = "none",
-) -> dict:
+def run_suite(problems, backends, cycles: int, workers: int, seed: int) -> dict:
     return {
         pname: [
-            _bench_one(pname, backend, cycles, workers, seed, placement)
+            _bench_one(pname, backend, cycles, workers, seed)
             for backend in backends
         ]
         for pname in problems
@@ -265,13 +259,6 @@ def main(argv=None) -> int:
         "$REPRO_BENCH_OBS_DIR when set",
     )
     ap.add_argument(
-        "--placement",
-        choices=("none", "model"),
-        default="none",
-        help="route the session's parallel dispatch through cost-packed "
-        "lane queues with work-stealing (no effect on the serial backend)",
-    )
-    ap.add_argument(
         "--heartbeat",
         default=None,
         metavar="PATH[:SECS]",
@@ -303,9 +290,7 @@ def main(argv=None) -> int:
             snapshotter = live.enter_context(
                 obs.TelemetrySnapshotter(registry, path, period=period)
             )
-        results = run_suite(
-            problems, backends, cycles, args.workers, args.seed, args.placement
-        )
+        results = run_suite(problems, backends, cycles, args.workers, args.seed)
     wall_seconds = time.perf_counter() - wall0
     if args.obs_dir:
         _export_obs(args.obs_dir, cycles, args.seed)
@@ -319,7 +304,6 @@ def main(argv=None) -> int:
         "cycles": cycles,
         "workers": args.workers,
         "seed": args.seed,
-        "placement": args.placement,
         "environment": _environment(snapshotter, wall_seconds),
         "results": results,
     }

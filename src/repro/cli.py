@@ -134,31 +134,6 @@ def _make_executor(backend: str, workers: int):
     return cls(workers)
 
 
-def _make_placement(args):
-    """``--placement``/``--placement-from`` flags → config (or ``None``).
-
-    ``--placement-from`` implies model placement; its file may be a
-    trace (measured node seconds) or a ``plan.json`` with an
-    ``assignment`` block (simulated node seconds).
-    """
-    policy = getattr(args, "placement", "none")
-    feedback = getattr(args, "placement_from", None)
-    if feedback and policy == "none":
-        policy = "model"
-    if policy == "none":
-        return None
-    from repro.errors import PlacementError
-    from repro.parallel.placement import PlacementConfig, placement_feedback
-
-    overrides = {}
-    if feedback:
-        try:
-            overrides = placement_feedback(feedback)
-        except PlacementError as exc:
-            raise SystemExit(f"--placement-from: {exc}") from exc
-    return PlacementConfig(policy=policy, cost_overrides=overrides)
-
-
 def _parse_constraint_spec(spec: str):
     """``dist:i:j:d[:var]`` → a :class:`DistanceConstraint`."""
     from repro.constraints.distance import DistanceConstraint
@@ -264,7 +239,6 @@ def _cmd_session_solve(args: argparse.Namespace, problem) -> int:
                         schedule=_parse_batch_anneal(args.batch_anneal),
                     ),
                     executor=executor,
-                    placement=_make_placement(args),
                     store=args.session_dir,
                 )
             )
@@ -321,11 +295,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             if registry is not None:
                 stack.enter_context(obs.metrics_scope(registry))
             recorder = _enter_live_plane(stack, args, registry=registry)
-            session = SolveSession.load(
-                args.session_dir,
-                executor=executor,
-                placement=_make_placement(args),
-            )
+            session = SolveSession.load(args.session_dir, executor=executor)
             stack.callback(session.close)
             if session.dirty_nids:
                 print(
@@ -595,7 +565,6 @@ def _cmd_obs_regress(args: argparse.Namespace) -> int:
             seed=args.seed,
             plan_trace=args.plan_trace,
             plan_max_drift=args.plan_max_drift,
-            placement=args.placement,
         )
     except (OSError, KeyError, ValueError) as exc:
         raise SystemExit(f"regress: {exc}") from exc
@@ -644,7 +613,6 @@ def _cmd_obs_plan(args: argparse.Namespace) -> int:
             knee=args.knee,
             discount_overhead=not args.no_overhead_discount,
             max_drift=args.max_drift,
-            assignment_workers=args.assignment,
         )
         for spec in args.measured or []:
             workers_str, _, trace_path = spec.partition(":")
@@ -976,22 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker count for --backend (default: the usable cores)",
     )
     solve.add_argument(
-        "--placement",
-        choices=["model", "none"],
-        default="none",
-        help="pack node tasks onto workers by Equation-1 predicted cost "
-        "with work-stealing (used with --session-dir and a parallel "
-        "--backend); 'none' keeps first-come dependency dispatch",
-    )
-    solve.add_argument(
-        "--placement-from",
-        default=None,
-        metavar="PATH",
-        help="rescale placement cost predictions with measured per-node "
-        "seconds from a previous trace (.jsonl/Chrome JSON) or a "
-        "plan.json with an assignment block (implies --placement model)",
-    )
-    solve.add_argument(
         "--max-retries",
         type=int,
         default=8,
@@ -1069,20 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
     )
     resolve.add_argument("--workers", type=int, default=_usable_cores())
-    resolve.add_argument(
-        "--placement",
-        choices=["model", "none"],
-        default="none",
-        help="cost-packed dependency dispatch with work-stealing "
-        "(see 'solve --placement')",
-    )
-    resolve.add_argument(
-        "--placement-from",
-        default=None,
-        metavar="PATH",
-        help="measured per-node seconds (trace or plan.json) rescaling "
-        "the packing (implies --placement model)",
-    )
     resolve.add_argument("--out", default=None)
     resolve.add_argument(
         "--heartbeat",
@@ -1305,13 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="allowed relative planner drift for --plan-trace (default 0.30)",
     )
     regress.add_argument(
-        "--placement",
-        choices=["model", "none"],
-        default="none",
-        help="run the in-process hot-path measurement under cost-packed "
-        "placement (recorded in the report's environment block)",
-    )
-    regress.add_argument(
         "--out", default=None, help="write the machine-readable verdict JSON"
     )
     regress.set_defaults(fn=_cmd_obs_regress)
@@ -1396,14 +1327,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="host flop rate for the analytic Equation-1 model used to "
         "derive the noise distribution",
-    )
-    plan.add_argument(
-        "--assignment",
-        type=int,
-        default=None,
-        metavar="N",
-        help="export the simulated per-node schedule at N workers as the "
-        "plan's 'assignment' block (consumable by 'solve --placement-from')",
     )
     plan.add_argument("--out", default=None, help="write the plan.json document")
     plan.set_defaults(fn=_cmd_obs_plan)

@@ -171,17 +171,9 @@ class SolveSession:
     executor:
         ``None`` runs the serial post-order solver; otherwise the
         executor backs a :class:`~repro.parallel.scheduler.ParallelHierarchicalSolver`
-        (``dispatch``/``shared_memory`` as there).  With a pickling
-        backend the session owns a shared-memory plane and keeps node
-        posteriors pinned on it across re-solves.
-    placement:
-        Forwarded to the parallel solver: a
-        :class:`~repro.parallel.placement.PlacementConfig` (or policy
-        name) enables cost-packed lane queues with work-stealing for
-        dependency dispatch.  The solver instance — and with it the
-        measured per-node costs feeding each repacking — persists across
-        :meth:`resolve` calls, so a session's placement keeps improving
-        as edits re-run subtrees.  Ignored without an executor.
+        (``shared_memory`` as there).  With a pickling backend the
+        session owns a shared-memory plane and keeps node posteriors
+        pinned on it across re-solves.
     store:
         Optional :class:`~repro.faults.SessionStore` (or directory path)
         for crash-resumable persistence.  A fresh session *clears* any
@@ -207,9 +199,7 @@ class SolveSession:
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
         executor: "Executor | None" = None,
-        dispatch: str = "dependency",
         shared_memory: bool | None = None,
-        placement=None,
         store: "SessionStore | str | Path | None" = None,
         session_id: str | None = None,
         labels: "dict | None" = None,
@@ -268,10 +258,8 @@ class SolveSession:
                 batch_size,
                 options,
                 executor=executor,
-                dispatch=dispatch,
                 shared_memory=shared_memory,
                 plane=self._plane,
-                placement=placement,
                 labels=self.labels,
             )
         self.cache = _SessionCache(self, plane=self._plane)
@@ -596,9 +584,7 @@ class SolveSession:
         batch_size: int | None = None,
         options: UpdateOptions | None = None,
         executor: "Executor | None" = None,
-        dispatch: str = "dependency",
         shared_memory: bool | None = None,
-        placement=None,
         session_id: str | None = None,
         labels: "dict | None" = None,
     ) -> "SolveSession":
@@ -632,9 +618,7 @@ class SolveSession:
             batch_size=batch_size,
             options=options,
             executor=executor,
-            dispatch=dispatch,
             shared_memory=shared_memory,
-            placement=placement,
             store=store,
             session_id=session_id,
             labels=labels,

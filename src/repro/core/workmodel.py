@@ -105,29 +105,6 @@ class WorkModel:
             raise WorkModelError("measured durations must match the sample arrays")
         return predicted, measured - scale * predicted
 
-    # ----------------------------------------------------------- placement
-    def hierarchy_costs(
-        self,
-        hierarchy,
-        batch_size: int,
-        nids: Sequence[int] | None = None,
-    ) -> dict[int, float]:
-        """Predicted per-node seconds for every node of a hierarchy.
-
-        The placement layer packs these costs onto workers before
-        dispatch; ``nids`` restricts the prediction to a dirty frontier.
-        """
-        if batch_size < 1:
-            raise WorkModelError(f"batch size must be positive, got {batch_size}")
-        if nids is None:
-            nodes = list(hierarchy.nodes)
-        else:
-            nodes = [hierarchy.node(nid) for nid in nids]
-        return {
-            node.nid: self.node_work(node.state_dim, node.n_constraint_rows, batch_size)
-            for node in nodes
-        }
-
     # -------------------------------------------------------------- checks
     def satisfies_paper_checks(self) -> bool:
         c = self.coefficients
@@ -262,32 +239,6 @@ def drift_report(
         "max_abs_rel": float(rel.max()),
         "residuals": residuals,
     }
-
-
-def blend_measured(
-    predicted: dict[int, float],
-    measured: dict[int, float],
-) -> tuple[dict[int, float], float]:
-    """Overlay measured per-node seconds onto model predictions.
-
-    Nodes with a positive measurement keep it verbatim; the rest are
-    rescaled by the robust host-speed factor ``median(measured /
-    predicted)`` over the nodes that have both, so one traced run (or an
-    earlier cycle of this one) recalibrates the whole packing even when
-    it only covered part of the tree.  Returns ``(costs, scale)``;
-    ``scale`` is 1.0 when nothing overlaps.
-    """
-    ratios = [
-        measured[nid] / predicted[nid]
-        for nid in predicted
-        if measured.get(nid, 0.0) > 0.0 and predicted[nid] > 0.0
-    ]
-    scale = float(np.median(ratios)) if ratios else 1.0
-    costs = {
-        nid: measured[nid] if measured.get(nid, 0.0) > 0.0 else scale * cost
-        for nid, cost in predicted.items()
-    }
-    return costs, scale
 
 
 def analytic_work_model(flop_rate: float = 2.0e8) -> WorkModel:

@@ -122,8 +122,3 @@ class TraceAnalysisError(ReproError, RuntimeError):
 
 class ScenarioError(ReproError, ValueError):
     """A fuzz scenario spec is invalid or cannot be materialized."""
-
-
-class PlacementError(ReproError, ValueError):
-    """A placement config or feedback source is invalid (unknown policy,
-    unreadable ``--placement-from`` file, costs for unknown nodes)."""

@@ -67,16 +67,17 @@ def run_table2(
 
     Each cell applies ``min(max_rows_per_cell, all)`` constraint rows in
     batches of the cell's dimension (at least ``min_batches_per_cell``
-    full batches), taking the best of ``repeats`` runs.
+    full batches).  ``repeats`` runs that many passes over the whole
+    grid and keeps each cell's best: a cell's repeats are spread over
+    the run rather than back to back, so one slow spell of the host
+    cannot spoil all of them.
     """
     node_sizes: list[int] = []
-    times = np.zeros((len(batch_dims), len(lengths)), dtype=np.float64)
-    samples: list[tuple[float, float, float]] = []
+    cells = []  # (i, j, n, m, solver, estimate), in sample order
     for j, length in enumerate(lengths):
         problem = build_helix(length)
         node_sizes.append(problem.n_atoms)
         estimate = problem.initial_estimate(seed)
-        n = problem.state_dim
         for i, m in enumerate(batch_dims):
             rows_budget = max(max_rows_per_cell, min_batches_per_cell * m)
             constraints = _take_rows(problem.constraints, rows_budget)
@@ -90,12 +91,13 @@ def run_table2(
                 batch_size=m,
                 options=UpdateOptions(kernel_impl="reference"),
             )
-            best = np.inf
-            for _ in range(max(1, repeats)):
-                res = solver.run_cycle(estimate)
-                best = min(best, res.seconds_per_constraint)
-            times[i, j] = best
-            samples.append((float(n), float(m), float(best)))
+            cells.append((i, j, float(problem.state_dim), float(m), solver, estimate))
+    times = np.full((len(batch_dims), len(lengths)), np.inf)
+    for _ in range(max(1, repeats)):
+        for i, j, _, _, solver, estimate in cells:
+            res = solver.run_cycle(estimate)
+            times[i, j] = min(times[i, j], res.seconds_per_constraint)
+    samples = [(n, m, float(times[i, j])) for i, j, n, m, _, _ in cells]
     model = None
     if fit:
         ns = np.array([s[0] for s in samples])

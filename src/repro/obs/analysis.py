@@ -76,7 +76,6 @@ class SolvePass:
     end: float
     solver: str
     backend: str | None
-    placement: str = "none"
     nodes: dict[int, NodeSpanStat] = field(default_factory=dict)
 
     @property
@@ -159,7 +158,6 @@ def solve_passes(tracer: Tracer) -> list[SolvePass]:
             end=sp.end,
             solver=str(sp.attrs.get("solver", "hier")),
             backend=sp.attrs.get("backend"),
-            placement=str(sp.attrs.get("placement", "none")),
         )
         passes.append(p)
         by_span_id[sp.span_id] = p
@@ -278,7 +276,7 @@ def critical_path(p: SolvePass, edges: dict[int, int]) -> dict:
         "perfect_speedup": serial / cp_seconds if cp_seconds > 0 else 1.0,
         "achieved_speedup": serial / wall if wall > 0 else 0.0,
         # Perfect minus achieved speedup: the load-imbalance/overhead gap
-        # placement and stealing exist to shrink (0 = nothing left).
+        # left on the table (0 = nothing left).
         "headroom": max(
             0.0,
             (serial / cp_seconds if cp_seconds > 0 else 1.0)
@@ -449,7 +447,6 @@ def doctor_report(
                 "label": p.label,
                 "solver": p.solver,
                 "backend": p.backend,
-                "placement": p.placement,
                 "wall_seconds": p.wall_seconds,
                 "critical_path": critical_path(p, edges),
                 "utilization": util,
@@ -540,13 +537,8 @@ def format_doctor_report(report: dict, top: int = 5) -> str:
     for p in report["passes"]:
         lines.append("")
         backend = f" backend={p['backend']}" if p["backend"] else ""
-        placement = (
-            f" placement={p['placement']}"
-            if p.get("placement", "none") != "none"
-            else ""
-        )
         lines.append(
-            f"== {p['label']} (solver={p['solver']}{backend}{placement}, "
+            f"== {p['label']} (solver={p['solver']}{backend}, "
             f"wall {p['wall_seconds']:.4f}s) =="
         )
         cp = p["critical_path"]

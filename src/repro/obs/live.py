@@ -23,8 +23,8 @@ session server needs, in three pieces:
   burn rate over heartbeat windows.
 
 :func:`render_top` turns a heartbeat file into the ``repro obs top``
-terminal view: lane busy%, inflight/queued, steal and rebuild counters,
-plan-cache hit rate, per-cycle/per-resolve p50/p99, per-session series
+terminal view: fleet busy%, inflight tasks, resubmit and rebuild
+counters, plan-cache hit rate, per-cycle/per-resolve p50/p99, per-session series
 and the SLO verdict.
 
 Timestamps here are wall ``time.time()`` (not the swappable solver
@@ -505,10 +505,10 @@ def render_top(
 ) -> str:
     """Render the ``repro obs top`` view from heartbeat rows.
 
-    Rates (busy%, per-lane busy%) come from counter deltas over the last
-    ``window`` beats; levels (inflight, queued, p50/p99 gauges) come from
-    the newest beat.  Pure function of its inputs, so tests can feed it
-    synthetic heartbeats.
+    Rates (busy%) come from counter deltas over the last ``window``
+    beats; levels (inflight, p50/p99 gauges) come from the newest beat.
+    Pure function of its inputs, so tests can feed it synthetic
+    heartbeats.
     """
     if not rows:
         return "no heartbeats yet"
@@ -531,28 +531,15 @@ def render_top(
     # ---- fleet level + busy rates
     workers = _gauge(last, "sched.workers")
     inflight = _gauge(last, "sched.inflight")
-    queued = _gauge(last, "sched.queued")
     busy_delta = _counter(last, "sched.busy_seconds") - _counter(
         base, "sched.busy_seconds"
     )
-    busy_line = (
-        f"workers {int(workers)}  inflight {int(inflight)}  queued {int(queued)}"
-    )
+    busy_line = f"workers {int(workers)}  inflight {int(inflight)}"
     if workers > 0:
         busy_line += f"  busy {_pct(min(1.0, busy_delta / (dt * workers)))}"
-    lane_parts = []
-    for key in sorted(last.get("metrics", {}).get("counters", {})):
-        if key.startswith("sched.lane.") and key.endswith(".busy_seconds"):
-            lane = key[len("sched.lane."):-len(".busy_seconds")]
-            lane_busy = _counter(last, key) - _counter(base, key)
-            lane_parts.append(f"lane{lane} {_pct(min(1.0, lane_busy / dt))}")
-    if lane_parts:
-        busy_line += "  (" + " ".join(lane_parts) + ")"
     lines.append(busy_line)
 
-    # ---- counters: steals, resubmits, rebuilds, plan cache
-    steals = _counter(last, "sched.steals")
-    misses = _counter(last, "sched.steal_misses")
+    # ---- counters: resubmits, rebuilds, plan cache
     resub = _counter(last, "executor.tasks_resubmitted")
     rebuilds = _counter(last, "executor.pool_rebuilds")
     hits = _counter(last, "plan.cache_hits")
@@ -561,8 +548,8 @@ def render_top(
     if hits + builds > 0:
         plan_line = _pct(hits / (hits + builds)) + " hit"
     lines.append(
-        f"steals {int(steals)} (misses {int(misses)})  resubmits {int(resub)}  "
-        f"pool_rebuilds {int(rebuilds)}  plan-cache {plan_line}"
+        f"resubmits {int(resub)}  pool_rebuilds {int(rebuilds)}  "
+        f"plan-cache {plan_line}"
     )
 
     # ---- latency quantiles

@@ -21,16 +21,9 @@ Metric name conventions (dot-separated, lowercase):
 ``kernel.seconds``                 plus ``kernel.<metric>.<cat>`` per category
 ``executor.tasks_resubmitted``     counter — tasks re-run after worker crashes
 ``executor.pool_rebuilds``         counter — broken process pools rebuilt
-``sched.placement.<policy>``       counter — cycles dispatched under a placement
-``sched.steals``                   counter — ready tasks stolen by an idle lane
-``sched.steal_misses``             counter — idle-lane steal attempts that found
-                                   nothing stealable while work was inflight
-``sched.placement_lanes``          gauge — lanes the last placement packed onto
-``sched.predicted_makespan_seconds``  gauge — last packing's simulated makespan
 ``sched.workers``                  gauge — backend concurrency of the last cycle
-``sched.inflight`` / ``.queued``   gauges — live submitted / ready-but-queued tasks
+``sched.inflight``                 gauge — live submitted tasks
 ``sched.busy_seconds``             counter — summed worker-measured node seconds
-``sched.lane.<i>.busy_seconds``    counter — same, per placement lane
 ``sched.nodes_completed``          counter — node tasks ingested
 ``cycle.seconds``                  histogram — per-cycle wall time (with
                                    ``cycle.seconds.p50``/``.p99`` gauges)

@@ -218,7 +218,6 @@ def simulate_schedule(
     costs: dict[int, float],
     edges: dict[int, int],
     workers: int,
-    include_assignment: bool = False,
 ) -> dict:
     """Greedy list-scheduling of the node DAG on ``workers`` workers.
 
@@ -228,13 +227,6 @@ def simulate_schedule(
     heuristic), ties broken by node id for determinism.  Returns the
     makespan, fleet utilization, and per-node latency (ready → finish,
     i.e. queueing plus service) percentiles.
-
-    With ``include_assignment`` the result also carries the simulated
-    per-node schedule as an ``assignment`` list (``nid``/``worker``/
-    ``start``/``finish``/``seconds``, start-ordered).  A free worker is
-    always the lowest-numbered one, which does not change the makespan
-    but makes the worker labels deterministic — this is the schedule
-    :mod:`repro.parallel.placement` executes and ``plan.json`` exports.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
@@ -251,21 +243,18 @@ def simulate_schedule(
     ready = [(-rank[nid], nid) for nid, deps in pending.items() if deps == 0]
     heapq.heapify(ready)
     ready_time = {nid: 0.0 for _, nid in ready}
-    free = list(range(workers))
-    heapq.heapify(free)
-    completions: list[tuple[float, int, int]] = []
+    free = workers
+    completions: list[tuple[float, int]] = []
     finish: dict[int, float] = {}
-    placed: dict[int, tuple[int, float]] = {}  # nid -> (worker, start)
     now = 0.0
     while ready or completions:
         while ready and free:
             _, nid = heapq.heappop(ready)
-            lane = heapq.heappop(free)
-            placed[nid] = (lane, now)
-            heapq.heappush(completions, (now + costs[nid], nid, lane))
-        fin, nid, lane = heapq.heappop(completions)
+            free -= 1
+            heapq.heappush(completions, (now + costs[nid], nid))
+        fin, nid = heapq.heappop(completions)
         now = fin
-        heapq.heappush(free, lane)
+        free += 1
         finish[nid] = fin
         parent = edges.get(nid, -1)
         if parent in pending:
@@ -280,26 +269,13 @@ def simulate_schedule(
         if latencies.size
         else (0.0, 0.0)
     )
-    out = {
+    return {
         "workers": workers,
         "makespan_seconds": now,
         "utilization": total / (workers * now) if now > 0 else 0.0,
         "p50_node_latency_seconds": p50,
         "p99_node_latency_seconds": p99,
     }
-    if include_assignment:
-        out["assignment"] = [
-            {
-                "nid": nid,
-                "worker": placed[nid][0],
-                "start": placed[nid][1],
-                "finish": finish[nid],
-                "seconds": costs[nid],
-                "rank": rank[nid],
-            }
-            for nid in sorted(placed, key=lambda n: (placed[n][1], n))
-        ]
-    return out
 
 
 def _perturbed(
@@ -331,7 +307,6 @@ def plan_report(
     discount_overhead: bool = True,
     pass_index: int | None = None,
     max_drift: float = DEFAULT_MAX_DRIFT,
-    assignment_workers: int | None = None,
 ) -> dict:
     """Predict makespan/latency/utilization/cost at each fleet size.
 
@@ -340,12 +315,6 @@ def plan_report(
     noisy runs, the bounds envelope, the knee recommendation, and a
     self-validation entry comparing the prediction at the trace's own
     lane count against its measured wall time.
-
-    ``assignment_workers`` additionally exports the simulated per-node
-    schedule at that fleet size as a top-level ``assignment`` block
-    (worker, start, finish, and traced seconds per node) — the form
-    ``solve --placement-from plan.json`` consumes to seed the next
-    run's cost-model-driven placement from this trace's measured costs.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -387,7 +356,7 @@ def plan_report(
                 "cost_ci": list(cost_ci(costs_d, ci_percent)),
             }
         )
-    plan = {
+    return {
         "plan_version": 1,
         "source": {
             "label": inp.label,
@@ -423,18 +392,6 @@ def plan_report(
         "recommendation": _recommend(predictions, makespans, knee, ci_percent),
         "validation": [self_validation(inp, max_drift=max_drift)],
     }
-    if assignment_workers is not None:
-        w = int(assignment_workers)
-        if w < 1:
-            raise ValueError(f"assignment workers must be positive, got {w}")
-        sim = simulate_schedule(inp.costs, inp.edges, w, include_assignment=True)
-        plan["assignment"] = {
-            "workers": w,
-            "policy": "heft",
-            "makespan_seconds": sim["makespan_seconds"],
-            "nodes": sim["assignment"],
-        }
-    return plan
 
 
 def _recommend(

@@ -122,17 +122,13 @@ def _load(path) -> dict:
 
 
 # ------------------------------------------------------- fresh measurements
-def measure_hotpath(
-    repeats: int = 3, seed: int = 0, placement: str = "none"
-) -> list[float]:
+def measure_hotpath(repeats: int = 3, seed: int = 0) -> list[float]:
     """Fresh helix/serial/fast seconds-per-row samples, one per repeat.
 
     Mirrors ``benchmarks/bench_hotpath.py --quick`` exactly (same
     workload, batch size and kernel options) but keeps every repeat as
     its own sample instead of taking the best, so the caller can reason
-    about noise.  ``placement`` other than ``"none"`` routes dispatch
-    through the cost-packed lane queues (see
-    :mod:`repro.parallel.placement`).
+    about noise.
     """
     from repro.core.update import UpdateOptions
     from repro.molecules.rna import build_helix
@@ -149,7 +145,6 @@ def measure_hotpath(
             batch_size=16,
             options=options,
             executor=executor,
-            placement=None if placement == "none" else placement,
         )
         solver.run_cycle(estimate)  # warm-up: imports, caches, allocator
         for _ in range(repeats):
@@ -219,7 +214,6 @@ def run_regress(
     seed: int = 0,
     plan_trace=None,
     plan_max_drift: float | None = None,
-    placement: str = "none",
 ) -> dict:
     """Diff fresh benchmark figures against the committed baselines.
 
@@ -234,21 +228,13 @@ def run_regress(
     samples and bands, the failing metric names, and an ``environment``
     block recording how the fresh figures were produced.
     """
-    from repro import obs
-
     checks: list[dict] = []
-    # Scheduler counters from the fresh in-process measurements (steal
-    # activity etc.) land in this registry and in the environment block.
-    fresh_registry = obs.MetricsRegistry()
     if hotpath_baseline is not None:
         base = hotpath_metric(_load(hotpath_baseline))
         if fresh_hotpath:
             samples = [hotpath_metric(_load(p)) for p in fresh_hotpath]
         else:
-            with obs.metrics_scope(fresh_registry):
-                samples = measure_hotpath(
-                    repeats=repeats, seed=seed, placement=placement
-                )
+            samples = measure_hotpath(repeats=repeats, seed=seed)
         checks.append(
             check_metric(
                 "hotpath.helix.serial.fast.seconds_per_row",
@@ -266,10 +252,7 @@ def run_regress(
             samples = [float(e["speedup_vs_cold_solve"]) for e in entries]
             identical = all(e["bit_identical_to_full_resolve"] for e in entries)
         else:
-            with obs.metrics_scope(fresh_registry):
-                samples, identical = measure_incremental(
-                    repeats=repeats, seed=seed
-                )
+            samples, identical = measure_incremental(repeats=repeats, seed=seed)
         checks.append(
             check_metric(
                 "incremental.helix.serial.speedup_vs_cold_solve",
@@ -320,7 +303,6 @@ def run_regress(
     )
     # How the fresh figures were produced — pinned so a regress.json read
     # later (or on another host) is self-describing about its conditions.
-    counters = fresh_registry.snapshot()["counters"]
     environment = {
         "backend": "serial",
         "workers": 1,
@@ -329,9 +311,6 @@ def run_regress(
         "quick": fresh_measured,
         "repeats": int(repeats),
         "seed": int(seed),
-        "placement_policy": str(placement),
-        "sched_steals": int(counters.get("sched.steals", 0)),
-        "sched_steal_misses": int(counters.get("sched.steal_misses", 0)),
         "fresh_hotpath_reports": [str(p) for p in (fresh_hotpath or [])],
         "fresh_incremental_reports": [str(p) for p in (fresh_incremental or [])],
         "plan_trace": None if plan_trace is None else str(plan_trace),

@@ -335,52 +335,6 @@ def validate_plan_json(doc: object) -> list[str]:
         err = v.get("rel_error")
         if not isinstance(err, (int, float)) or err < 0:
             problems.append(f"{where}: rel_error must be non-negative")
-    if "assignment" in doc:
-        problems.extend(_plan_assignment_problems(doc["assignment"]))
-    return problems
-
-
-def _plan_assignment_problems(block: object) -> list[str]:
-    """Schema problems for a plan's optional ``assignment`` block.
-
-    The block is the simulated per-node schedule at one fleet size
-    (``plan_report(assignment_workers=...)``): every node names a worker
-    in range, non-negative durations, and ``start + seconds == finish``.
-    """
-    problems: list[str] = []
-    if not isinstance(block, dict):
-        return ["assignment: not an object"]
-    workers = block.get("workers")
-    if not isinstance(workers, int) or workers < 1:
-        return ["assignment: workers must be a positive integer"]
-    nodes = block.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
-        return ["assignment: needs a non-empty 'nodes' list"]
-    seen: set[int] = set()
-    for i, n in enumerate(nodes):
-        where = f"assignment node {i}"
-        if not isinstance(n, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        nid = n.get("nid")
-        if not isinstance(nid, int):
-            problems.append(f"{where}: nid must be an integer")
-            continue
-        if nid in seen:
-            problems.append(f"{where}: duplicate nid {nid}")
-        seen.add(nid)
-        lane = n.get("worker")
-        if not isinstance(lane, int) or not (0 <= lane < workers):
-            problems.append(f"{where}: worker must lie in [0, {workers})")
-        start, fin, sec = n.get("start"), n.get("finish"), n.get("seconds")
-        if not all(isinstance(v, (int, float)) for v in (start, fin, sec)):
-            problems.append(f"{where}: start/finish/seconds must be numbers")
-            continue
-        if sec < 0 or start < 0 or abs((start + sec) - fin) > 1e-9 + 1e-6 * max(fin, 0.0):
-            problems.append(
-                f"{where}: schedule inconsistent (start {start:.6g} + "
-                f"seconds {sec:.6g} != finish {fin:.6g})"
-            )
     return problems
 
 

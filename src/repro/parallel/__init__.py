@@ -14,10 +14,9 @@ Two complementary runtimes live here:
 :class:`~repro.parallel.scheduler.ParallelHierarchicalSolver` is the
 public entry point: a drop-in replacement for
 :class:`~repro.core.hier_solver.HierarchicalSolver` that dispatches each
-node to an executor the moment its children are done (or per-wavefront
-in the legacy barrier mode), with process backends exchanging estimates
-through the shared-memory plane (:mod:`repro.parallel.shm`) instead of
-pickle.
+node to an executor the moment its children are done, with process
+backends exchanging estimates through the shared-memory plane
+(:mod:`repro.parallel.shm`) instead of pickle.
 """
 
 from repro.parallel.executors import (
@@ -26,32 +25,17 @@ from repro.parallel.executors import (
     SerialExecutor,
     ThreadExecutor,
 )
-from repro.parallel.placement import (
-    PLACEMENT_POLICIES,
-    PlacementConfig,
-    PlacementPlan,
-    placement_feedback,
-    plan_placement,
-    predicted_costs,
-)
-from repro.parallel.scheduler import DISPATCH_MODES, ParallelHierarchicalSolver
+from repro.parallel.scheduler import ParallelHierarchicalSolver
 from repro.parallel.shm import EstimateHandle, SharedEstimatePlane
 from repro.parallel.dynamic import dynamic_assignment_schedule
 
 __all__ = [
-    "DISPATCH_MODES",
     "EstimateHandle",
     "Executor",
-    "PLACEMENT_POLICIES",
     "ParallelHierarchicalSolver",
-    "PlacementConfig",
-    "PlacementPlan",
     "ProcessExecutor",
     "SerialExecutor",
     "SharedEstimatePlane",
     "ThreadExecutor",
     "dynamic_assignment_schedule",
-    "placement_feedback",
-    "plan_placement",
-    "predicted_costs",
 ]

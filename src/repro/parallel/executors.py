@@ -1,27 +1,27 @@
 """Executor abstraction: serial, thread-pool and process-pool backends.
 
-Two dispatch surfaces serve the scheduler:
-
-* :meth:`Executor.map` — "run these independent thunks, give me their
-  results", used by the legacy per-wavefront barrier mode; and
-* :meth:`Executor.submit` — one task, one future, used by the
-  dependency-driven scheduler, which keeps its own ready-count
-  bookkeeping and resubmission budget (the injected-crash decision is
-  drawn by the caller, one per submission, preserving the deterministic
-  draw order of :meth:`~repro.faults.FaultInjector.crash_schedule`).
+The scheduler's one surface is :meth:`Executor.submit` — one task, one
+future.  The dependency-driven loop in
+:mod:`repro.parallel.scheduler` keeps the ready-count bookkeeping, draws
+the injected-crash decision (one per original submission, preserving the
+deterministic draw order of
+:meth:`~repro.faults.FaultInjector.crash_schedule`) and owns
+resubmission.
 
 Tasks are picklable descriptions for the process backend, or plain
 closures for the serial/thread backends; ``needs_pickling`` tells the
 scheduler whether results cross an address-space boundary (which is what
 decides whether the shared-memory estimate plane pays off).
 
-All backends share one recovery contract (exercised by
-``tests/test_executor_recovery.py``): a task lost to a crashed worker —
-whether injected by :mod:`repro.faults` or a real dead process taking its
-pool down — is detected and resubmitted, up to ``max_resubmits`` rounds,
-after which :class:`~repro.errors.WorkerCrashError` propagates.  Tasks
-must therefore be idempotent, which the solver's pure node updates are.
-Any exception other than a crash propagates unchanged.
+Recovery contract (exercised by ``tests/test_executor_recovery.py``): a
+task lost to a crashed worker — injected by :mod:`repro.faults`, or a
+real dead process taking its pool down — surfaces on its future as
+:class:`~repro.errors.WorkerCrashError` or ``BrokenProcessPool``.  The
+scheduler then calls :meth:`Executor.recover` for a broken pool and
+resubmits, up to ``max_resubmits`` rounds per task, after which
+``WorkerCrashError`` propagates.  Tasks must therefore be idempotent,
+which the solver's pure node updates are.  Any exception other than a
+crash propagates unchanged.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from repro import obs
 from repro.errors import WorkerCrashError
@@ -52,20 +51,8 @@ def _call_with_faults(fn: Callable[[T], R], item: T, crash: bool, mode: str) -> 
 class Executor(abc.ABC):
     """Minimal executor interface used by the tree scheduler.
 
-    ``max_resubmits`` bounds how many recovery rounds :meth:`map` runs
-    when tasks are lost to crashed workers.
-
-    **Steal protocol.** ``n_workers`` is the backend's genuine
-    concurrency; the placement-aware scheduler
-    (:mod:`repro.parallel.placement`) mirrors it as logical lanes — one
-    ready queue and at most one inflight task per lane — so packing and
-    stealing operate scheduler-side, backend-agnostically.  Backends
-    never see a "steal": a stolen node is simply submitted from a
-    different lane, still as a self-contained (or shared-memory-handle)
-    task.  That is what keeps stealing safe on the process backend —
-    only O(1) handles cross the pickle boundary — and bit-identical
-    everywhere, since a node's batches run in order inside one task no
-    matter which lane submits it.
+    ``max_resubmits`` bounds how many times the scheduler resubmits a
+    task lost to crashed workers.
     """
 
     max_resubmits: int = 3
@@ -74,7 +61,6 @@ class Executor(abc.ABC):
     needs_pickling: bool = False
 
     #: Genuine backend concurrency; pool backends set it per instance.
-    #: The placement layer packs onto exactly this many lanes.
     n_workers: int = 1
 
     @abc.abstractmethod
@@ -92,61 +78,6 @@ class Executor(abc.ABC):
 
     def recover(self) -> None:
         """Restore the backend after a broken-pool failure (no-op by default)."""
-
-    @abc.abstractmethod
-    def _dispatch(
-        self, fn: Callable[[T], R], tasks: list[tuple[int, T, bool]]
-    ) -> tuple[dict[int, R], list[int]]:
-        """Run ``(index, item, crash_flag)`` tasks once.
-
-        Returns ``(results by index, indices lost to crashes)``.  Non-crash
-        exceptions must propagate.
-        """
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        """Apply ``fn`` to every item, possibly concurrently; order preserved.
-
-        Crashed tasks (injected or real) are resubmitted in bounded rounds;
-        an active :class:`~repro.faults.FaultInjector` draws one crash
-        decision per item, in submission order, so the fault schedule is
-        deterministic for a given seed.
-        """
-        injector = current_injector()
-        n = len(items)
-        crash = injector.crash_schedule(n) if injector is not None else [False] * n
-        results: dict[int, R] = {}
-        todo = list(range(n))
-        rounds = 0
-        while todo:
-            with obs.span(
-                "executor.dispatch",
-                cat="executor",
-                backend=type(self).__name__,
-                tasks=len(todo),
-                round=rounds,
-            ):
-                done, failed = self._dispatch(
-                    fn, [(i, items[i], crash[i]) for i in todo]
-                )
-            results.update(done)
-            for i in todo:
-                crash[i] = False  # a resubmitted task is not re-poisoned
-            if failed:
-                rounds += 1
-                obs.inc("executor.tasks_resubmitted", len(failed))
-                obs.instant(
-                    "executor.resubmit",
-                    cat="executor",
-                    tasks=len(failed),
-                    round=rounds,
-                )
-                if rounds > self.max_resubmits:
-                    raise WorkerCrashError(
-                        f"{len(failed)} tasks still lost to worker crashes "
-                        f"after {self.max_resubmits} resubmission rounds"
-                    )
-            todo = sorted(failed)
-        return [results[i] for i in range(n)]
 
     def close(self) -> None:
         """Release executor resources (no-op by default)."""
@@ -169,16 +100,6 @@ class SerialExecutor(Executor):
             future.set_exception(exc)
         return future
 
-    def _dispatch(self, fn, tasks):
-        results: dict[int, object] = {}
-        failed: list[int] = []
-        for i, item, crash in tasks:
-            try:
-                results[i] = _call_with_faults(fn, item, crash, "raise")
-            except WorkerCrashError:
-                failed.append(i)
-        return results, failed
-
 
 class ThreadExecutor(Executor):
     """Thread-pool backend.
@@ -200,20 +121,6 @@ class ThreadExecutor(Executor):
     def submit(self, fn, item, crash=False):
         return self._pool.submit(_call_with_faults, fn, item, crash, "raise")
 
-    def _dispatch(self, fn, tasks):
-        futures = {
-            self._pool.submit(_call_with_faults, fn, item, crash, "raise"): i
-            for i, item, crash in tasks
-        }
-        results: dict[int, object] = {}
-        failed: list[int] = []
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except WorkerCrashError:
-                failed.append(i)
-        return results, failed
-
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
@@ -227,8 +134,8 @@ class ProcessExecutor(Executor):
 
     A worker that dies mid-task (``os._exit``, OOM-kill, injected
     ``crash_mode="kill"`` fault) breaks the whole ``concurrent.futures``
-    pool; :meth:`_dispatch` detects that, rebuilds the pool, and reports
-    every unfinished task for resubmission.
+    pool: every unfinished future fails with ``BrokenProcessPool``, and
+    :meth:`recover` rebuilds the pool for the caller's resubmissions.
     """
 
     needs_pickling = True
@@ -255,28 +162,6 @@ class ProcessExecutor(Executor):
         self._pool = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.n_workers
         )
-
-    def _dispatch(self, fn, tasks):
-        injector = current_injector()
-        mode = injector.config.crash_mode if injector is not None else "raise"
-        futures = {
-            self._pool.submit(_call_with_faults, fn, item, crash, mode): i
-            for i, item, crash in tasks
-        }
-        results: dict[int, object] = {}
-        failed: list[int] = []
-        broken = False
-        for future, i in futures.items():
-            try:
-                results[i] = future.result()
-            except WorkerCrashError:
-                failed.append(i)
-            except BrokenProcessPool:
-                failed.append(i)
-                broken = True
-        if broken:
-            self.recover()
-        return results, failed
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -1,13 +1,11 @@
 """Tree-parallel hierarchical solver.
 
-The hierarchy's data dependencies are child → parent only.  The default
+The hierarchy's data dependencies are child → parent only, and the
 scheduler exploits exactly that: dependency-driven dispatch submits every
 leaf up front and submits a parent the moment its *last* child completes
 (futures plus ready-count bookkeeping), so no node ever waits on an
-unrelated subtree.  The legacy mode (``dispatch="wavefront"``) instead
-groups nodes of equal height into wavefronts and barriers between them —
-same results, more idle time.  Both orders compute node solves on
-identical inputs, so results are bit-identical to
+unrelated subtree.  Every node solves on the same inputs as in post
+order, so results are bit-identical to
 :class:`repro.core.hier_solver.HierarchicalSolver` with any backend.
 
 Node tasks are self-contained payloads (prior estimate, constraints,
@@ -42,17 +40,8 @@ from repro.faults.injector import current_injector
 from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
 from repro.parallel.executors import Executor, SerialExecutor
-from repro.parallel.placement import (
-    PlacementPlan,
-    coerce_placement,
-    hierarchy_edges,
-    plan_placement,
-    predicted_costs,
-)
 from repro.parallel.shm import EstimateHandle, SharedEstimatePlane, read_prior, write_posterior
 from repro.util.timer import Timer
-
-DISPATCH_MODES = ("dependency", "wavefront")
 
 
 @dataclass
@@ -191,9 +180,6 @@ class ParallelHierarchicalSolver:
     executor:
         Backend (defaults to inline execution so the class is always
         safe to construct).
-    dispatch:
-        ``"dependency"`` (default) submits a parent as soon as its last
-        child completes; ``"wavefront"`` restores the per-height barrier.
     shared_memory:
         ``None`` (default) enables the shared-memory estimate plane
         exactly when the backend pickles its tasks
@@ -206,19 +192,6 @@ class ParallelHierarchicalSolver:
         every cycle — this is how a :class:`~repro.core.session.SolveSession`
         keeps clean-subtree posterior segments pinned across re-solves.
         The borrower owns the plane's lifetime.
-    placement:
-        ``None`` (default) keeps first-come dependency submission.  A
-        :class:`~repro.parallel.placement.PlacementConfig` (or a policy
-        name, ``"model"``) switches dependency dispatch to cost-packed
-        per-lane queues with work-stealing: Equation-1 predicted costs
-        are HEFT-packed onto the executor's workers before dispatch, a
-        lane drains its own queue by descending upward rank, and an idle
-        lane steals the largest predicted-cost ready task from the
-        most-loaded peer.  Measured per-node seconds accumulate in
-        :attr:`measured_costs` across cycles and recalibrate every
-        subsequent packing, so the placement self-corrects within one
-        session.  Placement reorders whole-node submission only —
-        results stay bit-identical to the serial solver.
     """
 
     def __init__(
@@ -227,31 +200,19 @@ class ParallelHierarchicalSolver:
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
         executor: Executor | None = None,
-        dispatch: str = "dependency",
         shared_memory: bool | None = None,
         plane: SharedEstimatePlane | None = None,
-        placement=None,
         labels: dict | None = None,
     ):
-        if dispatch not in DISPATCH_MODES:
-            raise HierarchyError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
         self.hierarchy = hierarchy
         self.batch_size = int(batch_size)
         self.options = options
         self.executor = executor if executor is not None else SerialExecutor()
-        self.dispatch = dispatch
         self.shared_memory = shared_memory
         self.plane = plane
-        self.placement = coerce_placement(placement)
         #: Metric labels (session id, backend...) stamped onto per-task
         #: series published by the workers this solver dispatches.
         self.labels = dict(labels) if labels else None
-        #: nid → measured seconds from the most recent cycle that ran the
-        #: node; feeds the next packing (and persists across resolves).
-        self.measured_costs: dict[int, float] = {}
-        self.last_placement: PlacementPlan | None = None
         self.n_constraint_rows = sum(n.n_constraint_rows for n in hierarchy.nodes)
 
     # ----------------------------------------------------------- wavefronts
@@ -325,8 +286,6 @@ class ParallelHierarchicalSolver:
                 cat="solve",
                 solver="parallel",
                 backend=type(self.executor).__name__,
-                dispatch=self.dispatch,
-                placement=self.placement.policy if self.placement else "none",
                 nodes=len(self.hierarchy.nodes),
                 rows=self.n_constraint_rows,
             ), total:
@@ -334,14 +293,9 @@ class ParallelHierarchicalSolver:
                     "sched.workers",
                     float(max(1, getattr(self.executor, "n_workers", 1))),
                 )
-                if self.dispatch == "wavefront":
-                    self._run_wavefront(
-                        estimate, node_results, records, merged, plane, dirty, cache
-                    )
-                else:
-                    self._run_dependency(
-                        estimate, node_results, records, merged, plane, dirty, cache
-                    )
+                self._run_dependency(
+                    estimate, node_results, records, merged, plane, dirty, cache
+                )
         finally:
             if plane is not None:
                 if owns_plane:
@@ -370,47 +324,6 @@ class ParallelHierarchicalSolver:
             retries=tuple(t for r in ordered for t in r.retries),
         )
 
-    # ------------------------------------------------- wavefront (legacy)
-    def _run_wavefront(
-        self,
-        estimate: StructureEstimate,
-        node_results: dict[int, StructureEstimate],
-        records: list[NodeSolveRecord],
-        merged: Recorder,
-        plane: SharedEstimatePlane | None,
-        dirty: "frozenset[int] | set[int] | None" = None,
-        cache=None,
-    ) -> None:
-        tracer = obs.current_tracer()
-        registry = obs.current_metrics()
-        for height, front in enumerate(self.wavefronts()):
-            if dirty is not None:
-                front = [n for n in front if n.nid in dirty]
-                if not front:
-                    continue
-            with obs.span(
-                f"wavefront[{height}]", cat="solve", nodes=len(front)
-            ) as wf:
-                tasks = [
-                    self._make_task(node, estimate, node_results, plane, cache)
-                    for node in front
-                ]
-                for task, result in zip(
-                    tasks, self.executor.map(_run_node_task, tasks)
-                ):
-                    self._ingest(
-                        task,
-                        result,
-                        plane,
-                        node_results,
-                        records,
-                        merged,
-                        registry,
-                        tracer,
-                        trace_parent=wf.span_id if wf is not None else None,
-                        cache=cache,
-                    )
-
     # ------------------------------------------------- dependency-driven
     def _run_dependency(
         self,
@@ -434,15 +347,7 @@ class ParallelHierarchicalSolver:
         process pool) are resubmitted per task, bounded by the executor's
         ``max_resubmits``; a broken pool is rebuilt once per detection
         via :meth:`~repro.parallel.executors.Executor.recover`.
-
-        With :attr:`placement` configured the ready pool is replaced by
-        cost-packed per-lane queues with stealing
-        (:meth:`_run_dependency_placed`).
         """
-        if self.placement is not None:
-            return self._run_dependency_placed(
-                estimate, node_results, records, merged, plane, dirty, cache
-            )
         tracer = obs.current_tracer()
         registry = obs.current_metrics()
         injector = current_injector()
@@ -457,9 +362,9 @@ class ParallelHierarchicalSolver:
             for n in self.hierarchy.nodes
             if not n.is_leaf
         }
-        # Per-height span windows + buffered worker trace payloads: the
-        # wavefront grouping no longer exists at runtime, but the trace
-        # keeps it as a reporting grouping (completed post-hoc).
+        # Per-height span windows + buffered worker trace payloads: heights
+        # never gate dispatch, but the trace keeps them as a reporting
+        # grouping (completed post-hoc).
         windows: dict[int, list[float]] = {}
         buffered: dict[int, list[dict]] = {}
         pending: dict[concurrent.futures.Future, tuple[_NodeTask, int]] = {}
@@ -467,10 +372,10 @@ class ParallelHierarchicalSolver:
         def submit(node: HierarchyNode, resubmits: int = 0, task=None) -> None:
             if task is None:
                 task = self._make_task(node, estimate, node_results, plane, cache)
-            # One injected-crash draw per *original* submission, matching
-            # Executor.map's contract: a resubmitted task is not
-            # re-poisoned (and consumes no draw), so crash_p=1.0 still
-            # converges after one recovery round per node.
+            # One injected-crash draw per *original* submission: a
+            # resubmitted task is not re-poisoned (and consumes no draw),
+            # so crash_p=1.0 still converges after one recovery round per
+            # node, and the fault schedule is deterministic for a seed.
             crash = (
                 injector.crash_schedule(1)[0]
                 if injector is not None and resubmits == 0
@@ -582,219 +487,9 @@ class ParallelHierarchicalSolver:
                 start,
                 end,
                 nodes=len(fronts[h]),
-                dispatch="dependency",
             )
             for payload in buffered.get(h, []):
                 tracer.merge(payload, parent_id=wf.span_id)
-
-    # --------------------------------------- dependency + placement/steal
-    def _run_dependency_placed(
-        self,
-        estimate: StructureEstimate,
-        node_results: dict[int, StructureEstimate],
-        records: list[NodeSolveRecord],
-        merged: Recorder,
-        plane: SharedEstimatePlane | None,
-        dirty: "frozenset[int] | set[int] | None" = None,
-        cache=None,
-    ) -> None:
-        """Dependency dispatch through cost-packed lane queues + stealing.
-
-        Before any submission the cycle's nodes are HEFT-packed onto
-        ``executor.n_workers`` logical lanes using Equation-1 predicted
-        costs corrected by accumulated measurements
-        (:func:`~repro.parallel.placement.plan_placement`).  Each lane
-        holds a queue of *ready* nodes and at most one inflight task;
-        a lane pops its own queue by descending upward rank (executing
-        the packed schedule), and when its queue drains it steals the
-        largest predicted-cost ready node from the peer with the most
-        queued predicted work (``sched.steals``; a failed attempt while
-        work is still inflight counts ``sched.steal_misses``).  Tasks
-        are materialized only at submission, so a stolen node moves as a
-        bare id — with a pickling backend the prior still crosses as a
-        shared-memory handle, never a pickled estimate.
-
-        Node tasks apply their constraint batches in order regardless of
-        which lane runs them, so any interleaving of whole-node
-        submissions — including every steal — is bit-identical to the
-        serial solver.  Crash-lost tasks are resubmitted on their
-        original lane with the standard resubmit budget.
-        """
-        tracer = obs.current_tracer()
-        registry = obs.current_metrics()
-        injector = current_injector()
-        heights = self.heights()
-        nodes = {n.nid: n for n in self.hierarchy.nodes}
-        run_nids = [
-            n.nid
-            for n in self.hierarchy.post_order()
-            if dirty is None or n.nid in dirty
-        ]
-        if not run_nids:
-            return
-        n_lanes = max(1, int(getattr(self.executor, "n_workers", 1)))
-        overrides = dict(self.placement.cost_overrides)
-        overrides.update(self.measured_costs)
-        costs = predicted_costs(
-            self.hierarchy,
-            self.batch_size,
-            model=self.placement.model,
-            overrides=overrides,
-            nids=run_nids,
-        )
-        edges = hierarchy_edges(self.hierarchy, nids=run_nids)
-        plan = plan_placement(costs, edges, n_lanes, self.placement.policy)
-        self.last_placement = plan
-        obs.inc(f"sched.placement.{plan.policy}")
-        obs.set_gauge("sched.placement_lanes", float(n_lanes))
-        obs.set_gauge("sched.predicted_makespan_seconds", plan.predicted_makespan)
-        waiting = {
-            n.nid: (
-                len(n.children)
-                if dirty is None
-                else sum(1 for c in n.children if c.nid in dirty)
-            )
-            for n in self.hierarchy.nodes
-            if not n.is_leaf
-        }
-        windows: dict[int, list[float]] = {}
-        buffered: dict[int, list[dict]] = {}
-        # lane → {ready nid: predicted seconds}; at most one task inflight
-        # per lane, so a lane's queue depth is its outstanding backlog.
-        queues: list[dict[int, float]] = [{} for _ in range(n_lanes)]
-        lane_busy = [False] * n_lanes
-        inflight: dict[concurrent.futures.Future, tuple[_NodeTask, int, int]] = {}
-        steal = self.placement.steal and n_lanes > 1
-
-        def enqueue(nid: int) -> None:
-            queues[plan.assignment.get(nid, nid % n_lanes)][nid] = plan.costs.get(
-                nid, 0.0
-            )
-
-        def submit_on(lane: int, node=None, resubmits: int = 0, task=None) -> None:
-            if task is None:
-                task = self._make_task(node, estimate, node_results, plane, cache)
-            # One injected-crash draw per *original* submission (see
-            # _run_dependency): resubmits are never re-poisoned.
-            crash = (
-                injector.crash_schedule(1)[0]
-                if injector is not None and resubmits == 0
-                else False
-            )
-            try:
-                future = self.executor.submit(_run_node_task, task, crash=crash)
-            except BrokenProcessPool:
-                # Same submit-time breakage race as _run_dependency's
-                # submit(): rebuild and go again without burning a round.
-                self.executor.recover()
-                future = self.executor.submit(_run_node_task, task, crash=crash)
-            inflight[future] = (task, resubmits, lane)
-            lane_busy[lane] = True
-            if tracer is not None:
-                h = heights[task.nid]
-                now = tracer.clock.now()
-                lo, hi = windows.get(h, (now, now))
-                windows[h] = [min(lo, now), max(hi, now)]
-
-        def dispatch(lane: int) -> None:
-            if lane_busy[lane]:
-                return
-            own = queues[lane]
-            if own:
-                # Execute the packed schedule: longest remaining chain
-                # first, ties to the lowest nid for determinism.
-                nid = max(own, key=lambda n: (plan.rank.get(n, 0.0), -n))
-                del own[nid]
-            elif steal:
-                victim = max(
-                    (v for v in range(n_lanes) if v != lane and queues[v]),
-                    key=lambda v: sum(queues[v].values()),
-                    default=None,
-                )
-                if victim is None:
-                    if inflight:
-                        obs.inc("sched.steal_misses")
-                    return
-                vq = queues[victim]
-                nid = max(vq, key=lambda n: (vq[n], -n))
-                del vq[nid]
-                obs.inc("sched.steals")
-            else:
-                return
-            submit_on(lane, nodes[nid])
-
-        for node in self.hierarchy.post_order():
-            if dirty is not None:
-                if node.nid in dirty and waiting.get(node.nid, 0) == 0:
-                    enqueue(node.nid)
-            elif node.is_leaf:
-                enqueue(node.nid)
-        for lane in range(n_lanes):
-            dispatch(lane)
-        obs.set_gauge("sched.inflight", float(len(inflight)))
-        obs.set_gauge("sched.queued", float(sum(len(q) for q in queues)))
-        while inflight:
-            done, _ = concurrent.futures.wait(
-                inflight, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            lost: list[tuple[_NodeTask, int, int]] = []
-            pool_broken = False
-            for future in done:
-                task, resubmits, lane = inflight.pop(future)
-                lane_busy[lane] = False
-                try:
-                    result = future.result()
-                except WorkerCrashError:
-                    lost.append((task, resubmits, lane))
-                    continue
-                except BrokenProcessPool:
-                    pool_broken = True
-                    lost.append((task, resubmits, lane))
-                    continue
-                node = nodes[task.nid]
-                # Lane attribution for the live busy% view: the worker's
-                # measured node seconds credit the lane that ran it.
-                obs.inc(f"sched.lane.{lane}.busy_seconds", float(result[3]))
-                self._ingest(
-                    task,
-                    result,
-                    plane,
-                    node_results,
-                    records,
-                    merged,
-                    registry,
-                    tracer,
-                    trace_buffer=buffered.setdefault(heights[task.nid], []),
-                    cache=cache,
-                )
-                if tracer is not None:
-                    h = heights[task.nid]
-                    now = tracer.clock.now()
-                    windows[h][1] = max(windows[h][1], now)
-                parent = node.parent
-                if parent is not None and (dirty is None or parent.nid in dirty):
-                    waiting[parent.nid] -= 1
-                    if waiting[parent.nid] == 0:
-                        enqueue(parent.nid)
-            if pool_broken:
-                self.executor.recover()
-            for task, resubmits, lane in lost:
-                resubmits += 1
-                obs.inc("executor.tasks_resubmitted")
-                obs.instant(
-                    "executor.resubmit", cat="executor", nid=task.nid, round=resubmits
-                )
-                if resubmits > self.executor.max_resubmits:
-                    raise WorkerCrashError(
-                        f"node {task.nid} still lost to worker crashes after "
-                        f"{self.executor.max_resubmits} resubmission rounds"
-                    )
-                submit_on(lane, resubmits=resubmits, task=task)
-            for lane in range(n_lanes):
-                dispatch(lane)
-            obs.set_gauge("sched.inflight", float(len(inflight)))
-            obs.set_gauge("sched.queued", float(sum(len(q) for q in queues)))
-        self._complete_windows(tracer, windows, buffered)
 
     # ----------------------------------------------------------- plumbing
     def _ingest(
@@ -807,8 +502,7 @@ class ParallelHierarchicalSolver:
         merged: Recorder,
         registry,
         tracer,
-        trace_parent: int | None = None,
-        trace_buffer: list[dict] | None = None,
+        trace_buffer: list[dict],
         cache=None,
     ) -> None:
         """Fold one completed node result into the cycle state."""
@@ -835,16 +529,12 @@ class ParallelHierarchicalSolver:
             plane.release(task.prior_handle)  # no-op for pinned segments
         node = self.hierarchy.node(nid)
         node_results[nid] = posterior
-        self.measured_costs[nid] = seconds
         merged.events.extend(events)
         obs.inc("sched.nodes_completed")
         obs.inc("sched.busy_seconds", float(seconds))
         if payload is not None:
             if tracer is not None and payload["trace"] is not None:
-                if trace_buffer is not None:
-                    trace_buffer.append(payload["trace"])
-                else:
-                    tracer.merge(payload["trace"], parent_id=trace_parent)
+                trace_buffer.append(payload["trace"])
             if registry is not None:
                 registry.merge_snapshot(payload["metrics"])
             if payload.get("flight") is not None:

@@ -7,14 +7,6 @@ verifies one cross-cutting claim the repository makes:
     One hierarchical cycle is *bit-identical* on the serial solver and
     every requested executor backend (PR 3/4's claim, extended to every
     generated topology, batch size and annealing schedule).
-``placement_identity``
-    Cost-packed placement with work-stealing dispatch
-    (:mod:`repro.parallel.placement`) is bit-identical to the serial
-    solver on every requested backend — under a *steal-heavy profile*:
-    the cost overrides claim one leaf dominates the whole tree, so its
-    lane is packed nearly empty and must steal once the (actually
-    cheap) leaf finishes.  Stealing may reorder whole-node submission
-    but never the batches inside a node, which is the invariant.
 ``warm_equals_cold``
     After the scenario's edit script, an incremental dirty-path
     ``resolve()`` equals a full re-solve of the edited problem from the
@@ -73,7 +65,6 @@ ALL_CHECKS = (
     "fast_vs_reference",
     "vector_identity",
     "backend_identity",
-    "placement_identity",
     "warm_equals_cold",
     "fault_clean",
     "streaming",
@@ -249,59 +240,6 @@ def check_backend_identity(scenario: Scenario, executors=None) -> CheckResult:
     return CheckResult("backend_identity", not mismatches, timer.elapsed, detail)
 
 
-def check_placement_identity(scenario: Scenario, executors=None) -> CheckResult:
-    """Packed + stolen dispatch ≡ serial, bitwise, under wild mispredictions."""
-    from repro import obs
-    from repro.core.hierarchy import assign_constraints
-    from repro.parallel.placement import PlacementConfig
-    from repro.parallel.scheduler import ParallelHierarchicalSolver
-
-    timer = Timer()
-    mismatches = []
-    steals: dict[str, int] = {}
-    with timer:
-        serial = _serial_cycle(scenario).estimate
-        # Steal-heavy profile: pretend one leaf carries the whole tree's
-        # work.  The packing leaves its lane otherwise nearly empty; the
-        # leaf actually finishes fast, so that lane must steal.
-        skeleton = scenario.fresh_hierarchy()
-        overrides = {n.nid: 1e-6 for n in skeleton.nodes}
-        overrides[skeleton.leaves()[0].nid] = 1.0
-
-        def _run_placed(name, executor):
-            hierarchy = scenario.fresh_hierarchy()
-            assign_constraints(hierarchy, scenario.problem.constraints)
-            registry = obs.MetricsRegistry()
-            with obs.metrics_scope(registry):
-                result = ParallelHierarchicalSolver(
-                    hierarchy,
-                    batch_size=scenario.spec.batch_size,
-                    options=scenario.options,
-                    executor=executor,
-                    placement=PlacementConfig(cost_overrides=overrides),
-                ).run_cycle(scenario.initial_estimate())
-            steals[name] = int(
-                registry.snapshot()["counters"].get("sched.steals", 0)
-            )
-            if not _bitwise(result.estimate, serial):
-                mismatches.append(
-                    f"{name}: max rel err "
-                    f"{_max_rel_err(result.estimate, serial):.3e}"
-                )
-
-        _run_placed("serial", None)  # inline executor: placement alone
-        for name, executor in (executors or {}).items():
-            _run_placed(name, executor)
-    detail = "; ".join(mismatches) if mismatches else ""
-    return CheckResult(
-        "placement_identity",
-        not mismatches,
-        timer.elapsed,
-        detail,
-        {"steals": steals},
-    )
-
-
 def _booted_session(scenario: Scenario, **kwargs) -> SolveSession:
     session = SolveSession(
         scenario.fresh_hierarchy(),
@@ -403,7 +341,6 @@ CHECK_FUNCTIONS = {
     "fast_vs_reference": check_fast_vs_reference,
     "vector_identity": check_vector_identity,
     "backend_identity": check_backend_identity,
-    "placement_identity": check_placement_identity,
     "warm_equals_cold": check_warm_equals_cold,
     "fault_clean": check_fault_clean,
     "streaming": check_streaming,

@@ -1,32 +1,31 @@
-"""Worker-crash recovery contract for every executor backend.
+"""Worker-crash recovery contract, exercised through the dispatch loop.
 
-All three backends must satisfy the same contract: a task lost to a
+Every backend must satisfy the same contract inside
+:meth:`ParallelHierarchicalSolver.run_cycle`: a node task lost to a
 crashed worker — injected soft crash, injected hard kill, or a real dead
-process — is detected and resubmitted (bounded rounds), results come back
-complete and in submission order, and exhausting the resubmit budget
-raises :class:`~repro.errors.WorkerCrashError`.
+process — is detected and resubmitted (bounded per task by the
+executor's ``max_resubmits``), the cycle's result is bitwise the serial
+solver's, and exhausting the resubmit budget raises
+:class:`~repro.errors.WorkerCrashError`.
 """
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
+from repro import obs
+from repro.core.hier_solver import HierarchicalSolver
 from repro.errors import WorkerCrashError
 from repro.faults import FaultConfig, FaultInjector, fault_injection
+from repro.parallel import ParallelHierarchicalSolver
 from repro.parallel.executors import ProcessExecutor, SerialExecutor, ThreadExecutor
 
 BACKENDS = ["serial", "thread", "process"]
 
 
-# Module-level so the process backend can pickle them.
-def double(x):
-    return 2 * x
-
-
-def always_crash(x):
-    raise WorkerCrashError(f"task {x} always crashes")
-
-
+# Module-level so the process backend can pickle it.
 def die_once(token_path):
     """Hard-kill the worker process the first time it sees ``token_path``."""
     if not os.path.exists(token_path):
@@ -48,55 +47,91 @@ def executor(request):
     ex.close()
 
 
+def _cycles(problem, executor, injector=None):
+    """``(serial, parallel, counters)`` for one cycle of ``problem``."""
+    estimate = problem.initial_estimate(0)
+    serial = HierarchicalSolver(problem.hierarchy, batch_size=16).run_cycle(estimate)
+    registry = obs.MetricsRegistry()
+    solver = ParallelHierarchicalSolver(
+        problem.hierarchy, batch_size=16, executor=executor
+    )
+    with obs.metrics_scope(registry):
+        if injector is None:
+            parallel = solver.run_cycle(estimate)
+        else:
+            with fault_injection(injector):
+                parallel = solver.run_cycle(estimate)
+    return serial, parallel, registry.snapshot()["counters"]
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a.estimate.mean, b.estimate.mean)
+    assert np.array_equal(a.estimate.covariance, b.estimate.covariance)
+
+
 class TestRecoveryContract:
     """Parametrized over all backends: same inputs, same guarantees."""
 
-    def test_plain_map_preserves_order(self, executor):
-        assert executor.map(double, list(range(20))) == [2 * i for i in range(20)]
+    def test_no_injector_runs_clean(self, executor, helix2_problem):
+        serial, parallel, counters = _cycles(helix2_problem, executor)
+        _assert_bitwise(parallel, serial)
+        assert counters.get("executor.tasks_resubmitted", 0) == 0
 
-    def test_every_task_crashing_once_is_absorbed(self, executor):
-        """crash_p=1.0: each task dies on first submission, succeeds on resubmit."""
+    def test_every_task_crashing_once_is_absorbed(self, executor, helix2_problem):
+        """crash_p=1.0: each node dies on first submission, succeeds on resubmit."""
         inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0))
-        with fault_injection(inj):
-            out = executor.map(double, [1, 2, 3, 4])
-        assert out == [2, 4, 6, 8]
-        assert inj.injected["crash"] == 4  # every task was actually poisoned
+        serial, parallel, counters = _cycles(helix2_problem, executor, inj)
+        _assert_bitwise(parallel, serial)
+        n_nodes = len(helix2_problem.hierarchy.nodes)
+        assert inj.injected["crash"] == n_nodes  # every node was poisoned
+        assert counters["executor.tasks_resubmitted"] == n_nodes
 
-    def test_partial_crashes_preserve_order(self, executor):
+    def test_partial_crashes_are_absorbed(self, executor, helix2_problem):
         inj = FaultInjector(FaultConfig(crash_p=0.5, seed=3))
-        with fault_injection(inj):
-            out = executor.map(double, list(range(12)))
-        assert out == [2 * i for i in range(12)]
-        assert 0 < inj.injected["crash"] < 12
+        serial, parallel, _ = _cycles(helix2_problem, executor, inj)
+        _assert_bitwise(parallel, serial)
+        assert 0 < inj.injected["crash"] < len(helix2_problem.hierarchy.nodes)
 
-    def test_resubmit_budget_exhaustion_raises(self, executor):
-        executor.max_resubmits = 2
+    def test_resubmit_budget_exhaustion_raises(self, executor, helix2_problem):
+        executor.max_resubmits = 0
+        inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0))
         with pytest.raises(WorkerCrashError, match="resubmission rounds"):
-            executor.map(always_crash, [1, 2, 3])
-
-    def test_no_injector_runs_clean(self, executor):
-        assert executor.map(double, [5]) == [10]
+            _cycles(helix2_problem, executor, inj)
 
 
 class TestProcessPoolHardDeath:
     def test_real_worker_kill_is_detected_and_resubmitted(self, tmp_path):
-        """A worker that os._exit()s breaks the pool; the executor rebuilds
-        it and resubmits the lost task, which then succeeds."""
+        """A worker that os._exit()s breaks the pool; after recover() the
+        resubmitted task succeeds."""
         token = str(tmp_path / "died.token")
         with ProcessExecutor(n_workers=1) as ex:
-            assert ex.map(die_once, [token]) == ["survived"]
+            with pytest.raises(BrokenProcessPool):
+                ex.submit(die_once, token).result()
+            ex.recover()
+            assert ex.submit(die_once, token).result() == "survived"
         assert os.path.exists(token)  # the kill really happened
 
-    def test_injected_kill_mode_breaks_and_recovers_pool(self):
-        """crash_mode='kill' makes injected crashes hard-exit the worker."""
-        inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0, crash_mode="kill"))
-        with ProcessExecutor(n_workers=2) as ex, fault_injection(inj):
-            assert ex.map(double, [1, 2, 3]) == [2, 4, 6]
-        assert inj.injected["crash"] == 3
+    def test_injected_kill_mode_breaks_and_recovers_pool(self, helix2_problem):
+        """crash_mode='kill' hard-exits a worker on every first submission.
 
-    def test_thread_backend_never_hard_kills(self):
+        Each break also loses whatever else was in flight, so the budget
+        is one round per poisoned submission: enough for any schedule.
+        """
+        n_nodes = len(helix2_problem.hierarchy.nodes)
+        inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0, crash_mode="kill"))
+        with ProcessExecutor(n_workers=2, max_resubmits=n_nodes) as ex:
+            serial, parallel, counters = _cycles(helix2_problem, ex, inj)
+        _assert_bitwise(parallel, serial)
+        assert inj.injected["crash"] == n_nodes
+        assert counters["executor.pool_rebuilds"] >= 1
+
+    def test_thread_backend_never_hard_kills(self, helix2_problem):
         """Thread backend downgrades kill-mode faults to soft crashes
         (a hard exit would take down the whole interpreter)."""
         inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0, crash_mode="kill"))
-        with ThreadExecutor(n_workers=2) as ex, fault_injection(inj):
-            assert ex.map(double, [1, 2]) == [2, 4]
+        with ThreadExecutor(n_workers=2) as ex:
+            serial, parallel, counters = _cycles(helix2_problem, ex, inj)
+        _assert_bitwise(parallel, serial)
+        n_nodes = len(helix2_problem.hierarchy.nodes)
+        assert counters["executor.tasks_resubmitted"] == n_nodes
+        assert counters.get("executor.pool_rebuilds", 0) == 0

@@ -91,7 +91,9 @@ class TestTable1Harness:
 class TestTable2Harness:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_table2(lengths=(1, 2), batch_dims=(4, 8, 32), max_rows_per_cell=128)
+        return run_table2(
+            lengths=(1, 2), batch_dims=(4, 8, 32), max_rows_per_cell=128, repeats=5
+        )
 
     def test_grid_shape(self, result):
         assert result.times.shape == (3, 2)

@@ -745,9 +745,8 @@ class TestFastMatchesReferenceFuzzShapes:
         assert result.ok, result.detail
 
 
-class TestDispatchModes:
-    @pytest.mark.parametrize("dispatch", ["dependency", "wavefront"])
-    def test_dispatch_modes_match_serial(self, helix2_problem, dispatch):
+class TestDependencyDispatch:
+    def test_four_threads_match_serial(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
         serial = HierarchicalSolver(
             helix2_problem.hierarchy, batch_size=16
@@ -757,7 +756,6 @@ class TestDispatchModes:
                 helix2_problem.hierarchy,
                 batch_size=16,
                 executor=ex,
-                dispatch=dispatch,
             ).run_cycle(est)
         assert np.array_equal(serial.estimate.mean, par.estimate.mean)
         assert np.array_equal(serial.estimate.covariance, par.estimate.covariance)

@@ -415,6 +415,39 @@ class TestDoctorAcrossBackends:
         assert "lanes:" in text
         assert "eq1:" in text
 
+    @pytest.fixture()
+    def helix_thread_trace(self, helix2_problem):
+        tracer = obs.Tracer()
+        with ThreadExecutor(2) as ex, obs.tracing(tracer):
+            ParallelHierarchicalSolver(
+                helix2_problem.hierarchy, batch_size=16, executor=ex
+            ).run_cycle(helix2_problem.initial_estimate(0))
+        return tracer
+
+    def test_headroom_reported(self, helix_thread_trace, helix2_problem):
+        report = analysis.doctor_report(
+            helix_thread_trace, hierarchy=helix2_problem.hierarchy
+        )
+        cp = report["passes"][0]["critical_path"]
+        assert cp["headroom"] >= 0.0
+        assert cp["headroom"] == pytest.approx(
+            max(0.0, cp["perfect_speedup"] - cp["achieved_speedup"])
+        )
+
+    def test_worst_lane_names_heaviest_subtree(
+        self, helix_thread_trace, helix2_problem
+    ):
+        report = analysis.doctor_report(
+            helix_thread_trace, hierarchy=helix2_problem.hierarchy
+        )
+        wl = report["passes"][0]["utilization"]["worst_lane"]
+        assert wl["busy_seconds"] > 0.0
+        heavy = wl["heaviest"]
+        assert heavy["nid"] in {n.nid for n in helix2_problem.hierarchy.nodes}
+        assert heavy["measured_seconds"] > 0.0
+        # Equation-1 attrs are on the spans, so a prediction is attached
+        assert heavy["predicted_seconds"] is None or heavy["predicted_seconds"] > 0.0
+
 
 def _hotpath_report(spc, key="seconds_per_row"):
     return {"results": {"helix": [

@@ -407,21 +407,18 @@ class TestRenderTop:
         rows = [
             _beat(
                 0, 100.0,
-                counters={"sched.busy_seconds": 0.0,
-                          "sched.lane.0.busy_seconds": 0.0},
+                counters={"sched.busy_seconds": 0.0},
                 histograms={"cycle.seconds": h0},
             ),
             _beat(
                 1, 101.0,
                 counters={
                     "sched.busy_seconds": 1.2,
-                    "sched.lane.0.busy_seconds": 0.9,
                     "plan.cache_hits": 9.0,
                     "plan.cache_builds": 1.0,
                     "session.solves{backend=thread,session=s1}": 2.0,
                 },
-                gauges={"sched.workers": 2.0, "sched.inflight": 1.0,
-                        "sched.queued": 3.0},
+                gauges={"sched.workers": 2.0, "sched.inflight": 1.0},
                 histograms={"cycle.seconds": h1},
             ),
         ]
@@ -429,8 +426,7 @@ class TestRenderTop:
         out = obs.render_top(
             meta, rows, slo=obs.SLOSpec("cycle.seconds", 2.0), window=5
         )
-        assert "workers 2  inflight 1  queued 3  busy 60.0%" in out
-        assert "lane0 90.0%" in out
+        assert "workers 2  inflight 1  busy 60.0%" in out
         assert "plan-cache 90.0% hit" in out
         assert "cycle" in out and "p50" in out
         assert "SLO cycle.seconds <= 2s" in out

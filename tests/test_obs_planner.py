@@ -119,6 +119,18 @@ class TestSimulateSchedule:
         sim4 = planner.simulate_schedule(TREE_COSTS, TREE_EDGES, 4)
         assert sim4["utilization"] == pytest.approx(7.0 / 12.0)
 
+    def test_independent_tasks_longest_first(self):
+        # Ready tasks go out by descending rank: 3+2 / 3+2 is the optimal
+        # split, and the 2 s task starts before the two 1 s tasks (nid
+        # order would finish at 3 s).
+        for costs, expect in [
+            ({0: 3.0, 1: 3.0, 2: 2.0, 3: 2.0}, 5.0),
+            ({0: 1.0, 1: 1.0, 2: 2.0}, 2.0),
+        ]:
+            edges = {nid: -1 for nid in costs}
+            sim = planner.simulate_schedule(costs, edges, 2)
+            assert sim["makespan_seconds"] == pytest.approx(expect)
+
     def test_bracketed_by_critical_path_and_serial(self):
         rng = np.random.default_rng(5)
         costs = {nid: float(rng.uniform(0.5, 2.0)) for nid in range(7)}

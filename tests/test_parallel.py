@@ -16,12 +16,14 @@ from repro.parallel.dynamic import _largest_remainder, dynamic_assignment_schedu
 
 
 class TestExecutors:
-    def test_serial_map(self):
-        assert SerialExecutor().map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+    def test_serial_submit(self):
+        future = SerialExecutor().submit(lambda x: x * 2, 3)
+        assert future.done() and future.result() == 6
 
-    def test_thread_map_order_preserved(self):
+    def test_thread_submit_resolves_each_future(self):
         with ThreadExecutor(4) as ex:
-            assert ex.map(lambda x: x * x, list(range(20))) == [x * x for x in range(20)]
+            futures = [ex.submit(lambda x: x * x, x) for x in range(20)]
+            assert [f.result() for f in futures] == [x * x for x in range(20)]
 
     def test_thread_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -37,7 +39,7 @@ class TestExecutors:
             pass
         # pool is shut down; further submissions fail
         with pytest.raises(RuntimeError):
-            ex.map(lambda x: x, [1])
+            ex.submit(lambda x: x, 1)
 
 
 class TestParallelSolver:
@@ -188,6 +190,7 @@ class TestProcessExecutor:
             serial.estimate.covariance, par.estimate.covariance, atol=0, rtol=0
         )
 
-    def test_plain_map(self):
+    def test_plain_submit(self):
         with ProcessExecutor(2) as ex:
-            assert ex.map(abs, [-1, -2, 3]) == [1, 2, 3]
+            futures = [ex.submit(abs, x) for x in (-1, -2, 3)]
+            assert [f.result() for f in futures] == [1, 2, 3]

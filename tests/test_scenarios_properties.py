@@ -37,7 +37,6 @@ from repro.scenarios.invariants import (
     FAULT_RTOL,
     check_fast_vs_reference,
     check_fault_clean,
-    check_placement_identity,
     check_warm_equals_cold,
 )
 
@@ -251,38 +250,6 @@ class TestFuzzerRegressions:
         finally:
             warm.close()
             cold.close()
-
-
-# -------------------------------------------------- placement identity
-class TestPlacementIdentity:
-    """Cost-packed, work-stealing dispatch must stay bitwise serial.
-
-    The check deliberately feeds the packer wildly wrong predictions
-    (one leaf claimed a million times heavier than the rest), so the
-    lane that finishes its "heavy" node instantly has to steal the
-    remaining work from loaded peers — exercising the steal path, not
-    just the packing.
-    """
-
-    @pytest.mark.parametrize("seed", [1, 9])
-    def test_steal_heavy_chains_stay_bitwise(self, seed, thread_executor):
-        """Seeds 1/9: multi-leaf chains where the misprediction profile
-        provokes double-digit steal counts on a 2-worker pool."""
-        result = check_placement_identity(
-            generate_scenario(seed), executors=thread_executor
-        )
-        assert result.ok, result.detail
-        assert result.metrics["steals"]["thread"] >= 1
-
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_narrow_topologies_have_nothing_to_steal(self, seed, thread_executor):
-        """Unary towers and 2-leaf trees rarely expose two ready tasks
-        at once; placement must hold bitwise even when stealing never
-        (or barely) fires."""
-        result = check_placement_identity(
-            generate_scenario(seed), executors=thread_executor
-        )
-        assert result.ok, result.detail
 
 
 # ---------------------------------------------------------------- streaming
