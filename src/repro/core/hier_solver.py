@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro import obs
 from repro.constraints.batch import make_batches
 from repro.core.hierarchy import Hierarchy, HierarchyNode
@@ -233,6 +231,9 @@ class HierarchicalSolver:
             nodes=len(self.hierarchy.nodes),
             rows=self.n_constraint_rows,
         ), recording(rec):
+            # The same scheduler figures the parallel solver publishes
+            # (``repro obs top``): one lane, busy for each node's seconds.
+            obs.set_gauge("sched.workers", 1.0)
             with total_timer:
                 for node in self.hierarchy.post_order():
                     if dirty is not None and node.nid not in dirty:
@@ -318,6 +319,8 @@ class HierarchicalSolver:
             if sp is not None:
                 sp.attrs["n_batches"] = n_batches
             events = rec.events[n_events_before:]
+        obs.inc("sched.nodes_completed")
+        obs.inc("sched.busy_seconds", timer.elapsed)
         records.append(
             NodeSolveRecord(
                 nid=node.nid,

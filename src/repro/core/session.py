@@ -27,9 +27,11 @@ Caching planes
 * Serial/thread backends keep posteriors as host arrays.
 * The process backend borrows the scheduler's shared-memory plane: a
   completed node's segment is *promoted* (pinned under its nid with a
-  generation tag) instead of released, so clean subtrees' posterior
-  bytes stay resident in shared memory across re-solves — never
-  re-pickled, never re-uploaded (see
+  generation tag) instead of released, and the node's next pass
+  rewrites that same segment, so after the first cycle no pass creates
+  a segment.  Clean subtrees' posterior bytes stay resident in shared
+  memory across re-solves and reach a dirty parent's worker by handle
+  — never re-pickled, never re-uploaded (see
   :class:`repro.parallel.shm.SharedEstimatePlane`).
 
 Persistence
@@ -111,7 +113,8 @@ class _SessionCache:
     resumed via :meth:`SolveSession.load` faults posteriors in lazily).
     The scheduler recognizes the ``plane`` attribute to promote completed
     segments in place of a host-side store (see
-    :meth:`ParallelHierarchicalSolver._ingest`).
+    :meth:`ParallelHierarchicalSolver._ingest`); a promoted posterior is
+    copied out of its segment only when a store streams it.
     """
 
     def __init__(self, session: "SolveSession", plane=None):
@@ -132,18 +135,12 @@ class _SessionCache:
 
     def store(self, nid: int, estimate: StructureEstimate) -> None:
         self._host[nid] = estimate
-        self._session._note_cached(nid, estimate)
+        self._session._note_cached(nid)
 
-    def note_promoted(self, nid: int, estimate: StructureEstimate) -> None:
+    def note_promoted(self, nid: int) -> None:
         """A solver pinned this node's segment; the plane copy rules."""
         self._host.pop(nid, None)
-        self._session._note_cached(nid, estimate)
-
-    def peek(self, nid: int) -> StructureEstimate:
-        """Like :meth:`load` but without counters (persistence sweeps)."""
-        if self.plane is not None and self.plane.has_pinned(nid):
-            return self.plane.pinned_posterior(nid)
-        return self.load(nid)
+        self._session._note_cached(nid)
 
 
 class SolveSession:
@@ -532,11 +529,11 @@ class SolveSession:
         )
 
     # --------------------------------------------------------- persistence
-    def _note_cached(self, nid: int, estimate: StructureEstimate) -> None:
+    def _note_cached(self, nid: int) -> None:
         """Bookkeeping for every posterior a pass commits to the cache."""
         self._node_generation[nid] = self.generation
         if self.store is not None and self._streaming:
-            self.store.save_node(nid, estimate)
+            self.store.save_node(nid, self.cache.load(nid))
             self._persist_manifest(staged=self._staged_snapshot)
 
     def _manifest_dict(self, staged) -> dict:
@@ -573,7 +570,7 @@ class SolveSession:
         assert self.store is not None and self._cycle_input is not None
         self.store.save_cycle_input(self._cycle_input)
         for node in self.hierarchy.nodes:
-            self.store.save_node(node.nid, self.cache.peek(node.nid))
+            self.store.save_node(node.nid, self.cache.load(node.nid))
         self._persist_manifest(staged=None)
 
     @classmethod

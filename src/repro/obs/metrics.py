@@ -22,9 +22,10 @@ Metric name conventions (dot-separated, lowercase):
 ``executor.tasks_resubmitted``     counter — tasks re-run after worker crashes
 ``executor.pool_rebuilds``         counter — broken process pools rebuilt
 ``sched.workers``                  gauge — backend concurrency of the last cycle
+                                   (1 for the serial solver)
 ``sched.inflight``                 gauge — live submitted tasks
 ``sched.busy_seconds``             counter — summed worker-measured node seconds
-``sched.nodes_completed``          counter — node tasks ingested
+``sched.nodes_completed``          counter — nodes solved (tasks ingested)
 ``cycle.seconds``                  histogram — per-cycle wall time (with
                                    ``cycle.seconds.p50``/``.p99`` gauges)
 ``resolve.seconds``                histogram — per-resolve wall time (same gauges)

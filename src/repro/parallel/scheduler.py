@@ -8,15 +8,20 @@ unrelated subtree.  Every node solves on the same inputs as in post
 order, so results are bit-identical to
 :class:`repro.core.hier_solver.HierarchicalSolver` with any backend.
 
-Node tasks are self-contained payloads (prior estimate, constraints,
-column map), so they cross process boundaries; each worker records its
-own kernel events — and, when the dispatching solve is being traced, its
-own spans and metrics — and ships them back for merged per-node
-profiles.  Worker spans keep the worker's pid/tid, which is what gives
-the exported Chrome trace one lane per worker.  With a pickling backend
-the estimate arrays themselves do not ride in the task at all: the
-scheduler parks them on a :class:`~repro.parallel.shm.SharedEstimatePlane`
-and ships O(1)-sized handles (see that module for the lifetime rules).
+Node tasks are self-contained payloads (the node's sources, constraints,
+column map), so they cross process boundaries: a leaf's task carries its
+extracted prior, a parent's its children's posteriors, and the worker
+builds the node's prior itself with the serial solver's
+:meth:`~repro.core.state.StructureEstimate.block_diagonal`.  Each worker
+records its own kernel events — and, when the dispatching solve is being
+traced, its own spans and metrics — and ships them back for merged
+per-node profiles.  Worker spans keep the worker's pid/tid, which is
+what gives the exported Chrome trace one lane per worker.  With a
+pickling backend the estimate arrays themselves do not ride in the task
+at all: every node writes its posterior into its segment on a
+:class:`~repro.parallel.shm.SharedEstimatePlane`, tasks ship O(1)-sized
+handles, and the dispatcher reads only the root's posterior (see that
+module for the lifetime rules).
 """
 
 from __future__ import annotations
@@ -40,7 +45,13 @@ from repro.faults.injector import current_injector
 from repro.faults.report import QuarantineRecord, RetryReport
 from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
 from repro.parallel.executors import Executor, SerialExecutor
-from repro.parallel.shm import EstimateHandle, SharedEstimatePlane, read_prior, write_posterior
+from repro.parallel.shm import (
+    EstimateHandle,
+    SharedEstimatePlane,
+    posterior_views,
+    read_prior,
+    write_posterior,
+)
 from repro.util.timer import Timer
 
 
@@ -48,21 +59,26 @@ from repro.util.timer import Timer
 class _NodeTask:
     """Picklable description of one node's update.
 
-    Exactly one of ``prior`` / ``prior_handle`` is set: the handle form
-    parks the estimate arrays on the shared-memory plane and ships O(1)
-    bytes.  ``trace``/``collect_metrics`` tell the worker to run under a
-    local collecting tracer/registry and ship the records back
-    (contextvars do not cross executor boundaries, so observability is
-    opt-in per task).
+    The node's sources are a leaf's ``prior`` (its block of the cycle
+    input) or an inner node's ``children`` posteriors, in child order.
+    With the shared-memory plane, ``handle`` names the segment the worker
+    writes the posterior to; a leaf's prior then sits in that segment's
+    prior slot (``prior`` is ``None``) and the children are handles to
+    their segments, so the task ships O(1) bytes of estimate.
+    ``trace``/``collect_metrics`` tell the worker to run under a local
+    collecting tracer/registry and ship the records back (contextvars do
+    not cross executor boundaries, so observability is opt-in per task).
     """
 
     nid: int
-    prior: StructureEstimate | None
+    state_dim: int
     constraints: list[Constraint]
     column_map: np.ndarray
     batch_size: int
     options: UpdateOptions
-    prior_handle: EstimateHandle | None = None
+    prior: StructureEstimate | None = None
+    children: tuple[StructureEstimate | EstimateHandle, ...] = ()
+    handle: EstimateHandle | None = None
     trace: bool = False
     collect_metrics: bool = False
     parent_nid: int = -1
@@ -73,6 +89,26 @@ class _NodeTask:
     #: Label set (session id, backend...) stamped onto the worker's
     #: per-task metric series, so per-session counters survive the trip.
     labels: dict | None = None
+
+
+def _node_prior(task: _NodeTask) -> StructureEstimate:
+    """The node's prior, built from its sources and owned by this worker.
+
+    A parent's is the block-diagonal of its children's posteriors, the
+    serial solver's function over the same bits, read in place from the
+    children's segments on the plane.  A leaf's is a private copy of its
+    segment's prior slot, or the task's own ``extract_atoms`` copy.
+    Neither a segment nor a child posterior is written, so a resubmitted
+    task rebuilds the same prior.  An in-process task is lost only before
+    it starts (an injected crash fires first), so the leaf prior it
+    carries is consumed once.
+    """
+    if task.children:
+        with posterior_views(task.children) as parts:
+            return StructureEstimate.block_diagonal(parts)
+    if task.handle is not None:
+        return read_prior(task.handle)
+    return task.prior
 
 
 def _run_node_task(
@@ -87,20 +123,18 @@ def _run_node_task(
     list[QuarantineRecord],
     list[RetryReport],
 ]:
-    """Worker entry point: apply the node's batches, recording events.
+    """Worker entry point: build the node's prior, apply its batches.
 
     Returns ``(nid, posterior-or-None, events, seconds, n_batches,
     obs_payload, quarantined, retries)``; the posterior slot is ``None``
     when the task carried a shared-memory handle (the posterior went back
-    through the segment).  The last two carry the node's
+    through the segment).  ``seconds`` covers the prior's assembly and
+    the batches.  The last two carry the node's
     :class:`~repro.faults.QuarantineRecord` and
     :class:`~repro.faults.RetryReport` lists home.
     """
     rec = Recorder()
     timer = Timer()
-    estimate = (
-        read_prior(task.prior_handle) if task.prior_handle is not None else task.prior
-    )
     injector = current_injector()
     if injector is not None:
         # Straggler simulation; crash faults are the executor's concern
@@ -131,22 +165,19 @@ def _run_node_task(
             nid=task.nid,
             n_constraints=len(task.constraints),
             batch_size=task.batch_size,
-            state_dim=int(estimate.mean.shape[0]),
+            state_dim=task.state_dim,
             rows=sum(b.dimension for b in batches),
             parent_nid=task.parent_nid,
         ), recording(rec), rec.tagged(task.nid), timer:
-            # ``read_prior`` returns this worker's private copy; the
-            # segment's prior slot stays intact for a resubmit.  An inline
-            # prior is the dispatcher's object, reused on resubmit.
             estimate = apply_batches(
-                estimate,
+                _node_prior(task),
                 batches,
                 task.column_map,
                 task.options,
                 task.nid,
                 quarantined,
                 retries,
-                consume_estimate=task.prior_handle is not None,
+                consume_estimate=True,
             )
     if registry is not None:
         registry.histogram("node.seconds").observe(timer.elapsed)
@@ -163,8 +194,8 @@ def _run_node_task(
             "metrics": registry.snapshot() if registry is not None else None,
             "flight": recorder.payload() if recorder is not None else None,
         }
-    if task.prior_handle is not None:
-        write_posterior(task.prior_handle, estimate)
+    if task.handle is not None:
+        write_posterior(task.handle, estimate)
         estimate = None
     return (
         task.nid, estimate, rec.events, timer.elapsed, n_batches, payload,
@@ -254,7 +285,8 @@ class ParallelHierarchicalSolver:
         every computed posterior is stored back.  When the cache is
         backed by this solver's borrowed ``plane``, a completed node's
         shared-memory segment is *promoted* into the cache in place of a
-        host-side copy (see :meth:`SharedEstimatePlane.promote`).
+        host-side copy (see :meth:`SharedEstimatePlane.promote`), and the
+        node's next pass rewrites that segment in place.
 
         Like the serial solver, the cycle never writes ``estimate``: a
         leaf task's prior is an :meth:`StructureEstimate.extract_atoms`
@@ -268,7 +300,7 @@ class ParallelHierarchicalSolver:
         if dirty is not None and cache is None and len(dirty) < len(self.hierarchy.nodes):
             raise HierarchyError("a dirty-restricted cycle needs a posterior cache")
         total = Timer()
-        node_results: dict[int, StructureEstimate] = {}
+        node_results: dict[int, StructureEstimate | EstimateHandle] = {}
         records: list[NodeSolveRecord] = []
         # Match the serial solver's contract: an outer active recorder
         # receives every worker's shipped events (workers record locally,
@@ -328,7 +360,7 @@ class ParallelHierarchicalSolver:
     def _run_dependency(
         self,
         estimate: StructureEstimate,
-        node_results: dict[int, StructureEstimate],
+        node_results: dict[int, StructureEstimate | EstimateHandle],
         records: list[NodeSolveRecord],
         merged: Recorder,
         plane: SharedEstimatePlane | None,
@@ -345,8 +377,9 @@ class ParallelHierarchicalSolver:
         have finished dispatches immediately — clean subtrees neither
         run nor gate anything.  Lost tasks (injected crashes or a broken
         process pool) are resubmitted per task, bounded by the executor's
-        ``max_resubmits``; a broken pool is rebuilt once per detection
-        via :meth:`~repro.parallel.executors.Executor.recover`.
+        ``max_resubmits``; a broken pool is rebuilt once per break via
+        :meth:`~repro.parallel.executors.Executor.recover`, and every
+        task still on it is lost with it.
         """
         tracer = obs.current_tracer()
         registry = obs.current_metrics()
@@ -367,7 +400,14 @@ class ParallelHierarchicalSolver:
         # grouping (completed post-hoc).
         windows: dict[int, list[float]] = {}
         buffered: dict[int, list[dict]] = {}
-        pending: dict[concurrent.futures.Future, tuple[_NodeTask, int]] = {}
+        # Each future's task, resubmit round and pool generation.
+        pending: dict[concurrent.futures.Future, tuple[_NodeTask, int, int]] = {}
+        pool = 0  # generation of the executor's pool: +1 per rebuild
+
+        def rebuild() -> None:
+            nonlocal pool
+            self.executor.recover()
+            pool += 1
 
         def submit(node: HierarchyNode, resubmits: int = 0, task=None) -> None:
             if task is None:
@@ -389,9 +429,9 @@ class ParallelHierarchicalSolver:
                 # than on a failed future.  The task never started, so
                 # rebuilding and submitting again burns no resubmit round
                 # (and keeps the crash draw already made above).
-                self.executor.recover()
+                rebuild()
                 future = self.executor.submit(_run_node_task, task, crash=crash)
-            pending[future] = (task, resubmits)
+            pending[future] = (task, resubmits, pool)
             if tracer is not None:
                 h = heights[task.nid]
                 now = tracer.clock.now()
@@ -415,14 +455,15 @@ class ParallelHierarchicalSolver:
             ready: list[HierarchyNode] = []
             pool_broken = False
             for future in done:
-                task, resubmits = pending.pop(future)
+                task, resubmits, born = pending.pop(future)
                 try:
                     result = future.result()
                 except WorkerCrashError:
                     lost.append((task, resubmits))
                     continue
                 except BrokenProcessPool:
-                    pool_broken = True
+                    # A pool that was already replaced needs no rebuild.
+                    pool_broken |= born == pool
                     lost.append((task, resubmits))
                     continue
                 node = nodes[task.nid]
@@ -451,7 +492,15 @@ class ParallelHierarchicalSolver:
                         # submit must never race the rebuild.
                         ready.append(parent)
             if pool_broken:
-                self.executor.recover()
+                rebuild()
+            # A task still unfinished on a replaced pool is lost.  The pool
+            # fails such tasks itself, except one whose submit raced the
+            # break: CPython before 3.12 never resolves that future.
+            for future in [
+                f for f, (_, _, born) in pending.items() if born < pool and not f.done()
+            ]:
+                task, resubmits, _ = pending.pop(future)
+                lost.append((task, resubmits))
             for parent in ready:
                 submit(parent)
             for task, resubmits in lost:
@@ -497,7 +546,7 @@ class ParallelHierarchicalSolver:
         task: _NodeTask,
         result: tuple,
         plane: SharedEstimatePlane | None,
-        node_results: dict[int, StructureEstimate],
+        node_results: dict[int, StructureEstimate | EstimateHandle],
         records: list[NodeSolveRecord],
         merged: Recorder,
         registry,
@@ -505,30 +554,32 @@ class ParallelHierarchicalSolver:
         trace_buffer: list[dict],
         cache=None,
     ) -> None:
-        """Fold one completed node result into the cycle state."""
+        """Fold one completed node result into the cycle state.
+
+        On the plane the node's result is its segment's handle, which
+        its parent's task carries; the dispatcher copies out only the
+        root's posterior (for the cycle output) and a posterior a
+        host-side cache stores.  A cache backed by this plane pins the
+        segment instead (:meth:`SharedEstimatePlane.promote`).  The
+        children's segments are released here unless pinned.
+        """
         nid, posterior, events, seconds, n_batches, payload, quarantined, retries = (
             result
         )
-        if posterior is None:
-            posterior = plane.read_posterior(task.prior_handle)
-        if cache is not None:
-            if (
-                task.prior_handle is not None
-                and getattr(cache, "plane", None) is plane
-            ):
-                # The posterior already lives in the task's segment — pin
-                # it as the node's cached posterior instead of copying it
-                # host-side and re-uploading.
-                plane.promote(task.prior_handle, nid)
-                note = getattr(cache, "note_promoted", None)
-                if note is not None:
-                    note(nid, posterior)
-            else:
-                cache.store(nid, posterior)
-        if task.prior_handle is not None:
-            plane.release(task.prior_handle)  # no-op for pinned segments
+        handle = task.handle
+        pinned = handle is not None and getattr(cache, "plane", None) is plane
+        if handle is not None:
+            for child in task.children:
+                plane.release(child)
+            if nid == self.hierarchy.root.nid or (cache is not None and not pinned):
+                posterior = plane.read_posterior(handle)
+        if pinned:
+            plane.promote(handle, nid)
+            cache.note_promoted(nid)
+        elif cache is not None:
+            cache.store(nid, posterior)
         node = self.hierarchy.node(nid)
-        node_results[nid] = posterior
+        node_results[nid] = posterior if posterior is not None else handle
         merged.events.extend(events)
         obs.inc("sched.nodes_completed")
         obs.inc("sched.busy_seconds", float(seconds))
@@ -560,36 +611,61 @@ class ParallelHierarchicalSolver:
         self,
         node: HierarchyNode,
         global_estimate: StructureEstimate,
-        node_results: dict[int, StructureEstimate],
+        node_results: dict[int, StructureEstimate | EstimateHandle],
         plane: SharedEstimatePlane | None = None,
         cache=None,
     ) -> _NodeTask:
+        """A node's task: its sources and, on the plane, its claimed segment."""
+        handle = None if plane is None else plane.claim(node.nid, node.state_dim)
+        prior = None
+        children: tuple = ()
         if node.is_leaf:
             prior = global_estimate.extract_atoms(node.atoms)
+            if handle is not None:
+                plane.put_prior(prior, handle)
+                prior = None
         else:
-            parts = []
-            for c in node.children:
-                part = node_results.pop(c.nid, None)
-                if part is None:
-                    part = cache.load(c.nid)
-                    obs.inc("session.cache_hits")
-                parts.append(part)
-            prior = StructureEstimate.block_diagonal(parts)
-        handle = None
-        if plane is not None:
-            handle = plane.put_prior(prior)
-            prior = None
+            children = tuple(
+                self._child_source(c, node_results, plane, cache)
+                for c in node.children
+            )
         return _NodeTask(
             nid=node.nid,
-            prior=prior,
+            state_dim=node.state_dim,
             constraints=node.constraints,
             column_map=node.column_map(self.hierarchy.n_atoms),
             batch_size=self.batch_size,
             options=self.options,
-            prior_handle=handle,
+            prior=prior,
+            children=children,
+            handle=handle,
             trace=obs.current_tracer() is not None,
             collect_metrics=obs.current_metrics() is not None,
             parent_nid=-1 if node.parent is None else node.parent.nid,
             flight=obs.current_flight_recorder() is not None,
             labels=self.labels,
         )
+
+    @staticmethod
+    def _child_source(
+        child: HierarchyNode,
+        node_results: dict[int, StructureEstimate | EstimateHandle],
+        plane: SharedEstimatePlane | None,
+        cache,
+    ) -> StructureEstimate | EstimateHandle:
+        """A child's posterior for its parent's task: this pass's, else the cache's.
+
+        On the plane a clean child travels as its pin's handle.  A clean
+        posterior held only host-side (a session reloaded from its
+        store) is copied into a pinned segment first, so process tasks
+        carry handles only.
+        """
+        source = node_results.pop(child.nid, None)
+        if source is not None:
+            return source
+        obs.inc("session.cache_hits")
+        if plane is None:
+            return cache.load(child.nid)
+        if not plane.has_pinned(child.nid):
+            plane.pin_posterior(child.nid, cache.load(child.nid))
+        return plane.pinned_handle(child.nid)

@@ -3,16 +3,20 @@
 The process backend used to pickle every node prior (an n-vector plus an
 n×n covariance) into the task and the full posterior back out — O(n²)
 bytes per node per direction, every wavefront.  The estimate plane moves
-those arrays through ``multiprocessing.shared_memory`` instead: the
-dispatching process writes the prior into a named segment and ships only
-an :class:`EstimateHandle` (a name and a dimension — O(bytes), not
-O(n²)); the worker attaches by name, reads the prior, and writes the
-posterior into a pre-allocated slot of the *same* segment; the parent
-copies the posterior out and releases the segment.
+those arrays through ``multiprocessing.shared_memory`` instead: each
+node's task ships an :class:`EstimateHandle` (a name and a dimension —
+O(bytes), not O(n²)) to the segment the worker writes its posterior
+into, and a parent's task ships its children's handles, from which the
+worker builds the parent's block-diagonal prior itself
+(:func:`posterior_views`).  The dispatching process writes only leaf
+priors and reads only the root's posterior.
 
 Segment layout (all float64)::
 
     [ prior mean (n) | prior cov (n×n) | posterior mean (n) | posterior cov (n×n) ]
+
+Only a leaf's prior slot is ever written; an inner node's stays
+untouched, and untouched pages of a segment cost no memory.
 
 Lifetime rules
 --------------
@@ -20,22 +24,41 @@ Lifetime rules
   :class:`SharedEstimatePlane` in the dispatching process.  Workers
   attach and detach; they never unlink.  This is what lets the plane
   survive the executor's pool-rebuild crash recovery: a rebuilt pool's
-  fresh workers attach to the same named segments, and a resubmitted
-  task re-reads its intact prior (the prior slot is never written after
-  creation; the posterior slot is fully overwritten on every attempt).
+  fresh workers attach to the same named segments.
+* A node's segment is written by its own task (the posterior slot,
+  fully overwritten on every attempt) and, for a leaf, by the
+  dispatcher before submission (the prior slot, never written again).
+  Nothing else writes it until its parent has completed, so a
+  resubmitted task re-reads an intact prior and intact child
+  posteriors.
+* A node keeps one segment for the plane's lifetime when it is pinned
+  (:meth:`SharedEstimatePlane.promote`): a session's next pass claims
+  the same segment back (:meth:`SharedEstimatePlane.claim`) and
+  rewrites it in place, so after the first cycle no segment is created
+  or unlinked.  A claimed segment is unpinned while its task is in
+  flight and pinned again on completion; a pass that raises therefore
+  never leaves a pin naming a partly written posterior, and
+  :meth:`SharedEstimatePlane.close_transient` releases the segments of
+  its unfinished nodes.
+* Without pins (a solver's private per-cycle plane) segments are
+  transient: a child's is released when its parent completes, the
+  root's at cycle end.
 * Resource-tracker registrations (which attach performs too on this
   Python) are left to coalesce in the fork-shared tracker's set cache
   and are cleared exactly once by the owner's ``unlink`` — see
   :func:`_attach` for why no manual untracking happens.
 * :meth:`SharedEstimatePlane.release` and :meth:`close` are idempotent,
-  so crash-recovery paths may release defensively; ``close`` runs in the
-  scheduler's ``finally`` so no cycle outcome leaks segments.
+  so crash-recovery paths may release defensively; ``close`` (or
+  ``close_transient`` on a borrowed plane) runs in the scheduler's
+  ``finally`` so no cycle outcome leaks segments.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +68,7 @@ from repro.core.state import StructureEstimate
 __all__ = [
     "EstimateHandle",
     "SharedEstimatePlane",
+    "posterior_views",
     "read_prior",
     "write_posterior",
 ]
@@ -90,17 +114,18 @@ def _attach(handle: EstimateHandle) -> shared_memory.SharedMemory:
     registrations coalesce, and the single ``unregister`` issued by the
     owning plane's ``unlink`` clears the name exactly once (tracker-pipe
     writes are ordered, and every worker registration precedes the
-    parent's unlink because the parent only unlinks after the worker's
-    result arrives).  Unbalanced manual unregisters would instead race
-    another attach and spill ``KeyError`` noise from the tracker — so no
-    untracking happens here, and any segment that survives a hard crash
-    of the dispatching process is unlinked by the tracker at shutdown.
+    parent's unlink because the parent only unlinks a segment after
+    every task that reads or writes it has returned).  Unbalanced manual
+    unregisters would instead race another attach and spill ``KeyError``
+    noise from the tracker — so no untracking happens here, and any
+    segment that survives a hard crash of the dispatching process is
+    unlinked by the tracker at shutdown.
     """
     return shared_memory.SharedMemory(name=handle.name)
 
 
 def read_prior(handle: EstimateHandle) -> StructureEstimate:
-    """Copy the prior estimate out of ``handle``'s segment (worker side)."""
+    """Copy a leaf's prior out of ``handle``'s segment (worker side)."""
     shm = _attach(handle)
     try:
         n = handle.n_state
@@ -111,6 +136,40 @@ def read_prior(handle: EstimateHandle) -> StructureEstimate:
         # mapping, so the close is legal even on the error path.
         shm.close()
     return StructureEstimate(mean, cov)
+
+
+@contextmanager
+def posterior_views(
+    sources: Sequence[EstimateHandle | StructureEstimate],
+) -> Iterator[list[StructureEstimate]]:
+    """The posteriors in ``sources`` as estimates, for reading only (worker side).
+
+    A handle becomes an estimate over views of its segment's posterior
+    slot, valid inside the ``with`` block; an in-process estimate passes
+    through.  The yielded list is emptied on exit, which drops the views
+    so the mappings can close.
+    """
+    segments: list[shared_memory.SharedMemory] = []
+    parts: list[StructureEstimate] = []
+    try:
+        for src in sources:
+            if isinstance(src, EstimateHandle):
+                segments.append(_attach(src))
+                parts.append(_posterior_in(segments[-1], src.n_state))
+            else:
+                parts.append(src)
+        yield parts
+    finally:
+        parts.clear()
+        for shm in segments:
+            try:
+                shm.close()
+            except BufferError:  # an error's traceback still holds a view
+                pass
+
+
+def _posterior_in(shm: shared_memory.SharedMemory, n: int) -> StructureEstimate:
+    return StructureEstimate(_mean_view(shm.buf, n, 1), _cov_view(shm.buf, n, 1))
 
 
 def write_posterior(handle: EstimateHandle, estimate: StructureEstimate) -> None:
@@ -139,17 +198,16 @@ def write_posterior(handle: EstimateHandle, estimate: StructureEstimate) -> None
 class SharedEstimatePlane:
     """Owner of the per-node estimate segments in the dispatching process.
 
-    Beyond the per-task transient segments, the plane supports *pinned*
-    per-node posterior segments for incremental re-solves (see
-    :mod:`repro.core.session`): instead of releasing a completed node's
-    segment, :meth:`promote` retains it under the node id with the
-    plane's current *generation* tag.  A later re-solve reads clean
-    subtrees' posteriors straight out of their pinned segments
-    (:meth:`pinned_posterior`) rather than re-shipping them, and replaces
-    a dirty node's pin with the newly computed segment.  Generations are
-    bumped once per re-solve, so a segment's tag records which re-solve
-    last wrote it — the session's tests use this to prove clean subtrees
-    were physically reused.
+    Each pass claims one segment per dispatched node (:meth:`claim`).  A
+    session keeps completed nodes' segments *pinned* across re-solves
+    (see :mod:`repro.core.session`): :meth:`promote` records a segment
+    as node ``nid``'s cached posterior with the plane's current
+    *generation* tag.  A later pass hands a clean child's pinned segment
+    to its parent's worker by handle (:meth:`pinned_handle`), and claims
+    a dirty node's own segment back and rewrites it in place.  The
+    session sets the generation once per pass, so a pin's tag records
+    which pass last wrote it — the session's tests use this to prove
+    clean subtrees were physically reused.
     """
 
     def __init__(self) -> None:
@@ -166,19 +224,52 @@ class SharedEstimatePlane:
         """Total bytes currently held in live segments."""
         return sum(s.size for s in self._segments.values())
 
-    # ------------------------------------------------------------- pinning
-    def bump_generation(self) -> int:
-        """Advance the generation tag applied to subsequent pins."""
-        self.generation += 1
-        return self.generation
+    def _create(self, n: int) -> EstimateHandle:
+        shm = shared_memory.SharedMemory(create=True, size=_segment_size(n))
+        self._segments[shm.name] = shm
+        self._dims[shm.name] = n
+        obs.inc("shm.segments_created")
+        obs.inc("shm.bytes_allocated", shm.size)
+        return EstimateHandle(name=shm.name, n_state=n)
 
+    # ------------------------------------------------------------- a pass
+    def claim(self, nid: int, n_state: int) -> EstimateHandle:
+        """The segment node ``nid``'s task writes its posterior to this pass.
+
+        A pinned node gets its own segment back, unpinned until
+        :meth:`promote` pins it again, so a session's pass creates no
+        segment and a pass that raises leaves no pin on a partly written
+        posterior.  Any other node gets a fresh segment.
+        """
+        name = self._pinned.pop(nid, None)
+        self._pin_generation.pop(nid, None)
+        if name is None:
+            return self._create(n_state)
+        return EstimateHandle(name=name, n_state=self._dims[name])
+
+    def put_prior(self, estimate: StructureEstimate, handle: EstimateHandle) -> None:
+        """Write ``estimate`` as the prior of ``handle``'s segment (a leaf's)."""
+        shm = self._segments[handle.name]
+        n = handle.n_state
+        _mean_view(shm.buf, n, 0)[:] = estimate.mean
+        _cov_view(shm.buf, n, 0)[:, :] = estimate.covariance
+
+    def read_posterior(self, handle: EstimateHandle) -> StructureEstimate:
+        """Copy the posterior out of ``handle``'s segment (parent side)."""
+        shm = self._segments[handle.name]
+        n = self._dims[handle.name]
+        return StructureEstimate(
+            _mean_view(shm.buf, n, 1).copy(), _cov_view(shm.buf, n, 1).copy()
+        )
+
+    # ------------------------------------------------------------- pinning
     def promote(self, handle: EstimateHandle, nid: int) -> None:
         """Pin ``handle``'s segment as node ``nid``'s posterior segment.
 
         The segment stays alive across re-solves (it is exempt from
-        :meth:`release`) until a newer segment is promoted for the same
-        node or the plane is closed.  The displaced pin, if any, is
-        destroyed.
+        :meth:`release`) until the node is claimed again or the plane is
+        closed.  Pinning a node's own claimed segment is bookkeeping
+        only; a different segment pinned for ``nid`` is destroyed.
         """
         if handle.name not in self._segments:
             raise KeyError(f"segment {handle.name} is not owned by this plane")
@@ -192,33 +283,31 @@ class SharedEstimatePlane:
     def pin_posterior(self, nid: int, estimate: StructureEstimate) -> None:
         """Pin a posterior for ``nid`` by copying it into a fresh segment.
 
-        Used when the posterior was computed host-side (e.g. a serial
-        fallback pass) but the session keeps its cache on the plane.
+        Used for a posterior held only host-side (a session reloaded from
+        its store) that a worker must read by handle.
         """
         n = estimate.mean.shape[0]
-        shm = shared_memory.SharedMemory(create=True, size=_segment_size(n))
-        self._segments[shm.name] = shm
-        self._dims[shm.name] = n
+        handle = self._create(n)
+        shm = self._segments[handle.name]
         _mean_view(shm.buf, n, 1)[:] = estimate.mean
         _cov_view(shm.buf, n, 1)[:, :] = estimate.covariance
-        obs.inc("shm.segments_created")
-        obs.inc("shm.bytes_allocated", shm.size)
-        self.promote(EstimateHandle(name=shm.name, n_state=n), nid)
+        self.promote(handle, nid)
 
     def has_pinned(self, nid: int) -> bool:
         return nid in self._pinned
+
+    def pinned_handle(self, nid: int) -> EstimateHandle:
+        """Handle to node ``nid``'s pinned segment, for a parent's worker to read."""
+        name = self._pinned[nid]
+        obs.inc("shm.segments_reused")
+        return EstimateHandle(name=name, n_state=self._dims[name])
 
     def pinned_posterior(self, nid: int) -> StructureEstimate:
         """Copy node ``nid``'s posterior out of its pinned segment."""
         name = self._pinned.get(nid)
         if name is None:
             raise KeyError(f"no pinned segment for node {nid}")
-        shm = self._segments[name]
-        n = self._dims[name]
-        obs.inc("shm.segments_reused")
-        return StructureEstimate(
-            _mean_view(shm.buf, n, 1).copy(), _cov_view(shm.buf, n, 1).copy()
-        )
+        return self.read_posterior(EstimateHandle(name=name, n_state=self._dims[name]))
 
     def pinned_generation(self, nid: int) -> int:
         """Generation tag of node ``nid``'s pinned segment."""
@@ -228,39 +317,12 @@ class SharedEstimatePlane:
         """OS-level segment name pinned for ``nid`` (for lifetime checks)."""
         return self._pinned[nid]
 
-    def unpin(self, nid: int) -> None:
-        """Drop and destroy node ``nid``'s pinned segment (idempotent)."""
-        name = self._pinned.pop(nid, None)
-        self._pin_generation.pop(nid, None)
-        if name is not None:
-            self._destroy(name)
-
-    def put_prior(self, estimate: StructureEstimate) -> EstimateHandle:
-        """Allocate a segment, write ``estimate`` as its prior, return a handle."""
-        n = estimate.mean.shape[0]
-        shm = shared_memory.SharedMemory(create=True, size=_segment_size(n))
-        self._segments[shm.name] = shm
-        self._dims[shm.name] = n
-        _mean_view(shm.buf, n, 0)[:] = estimate.mean
-        _cov_view(shm.buf, n, 0)[:, :] = estimate.covariance
-        obs.inc("shm.segments_created")
-        obs.inc("shm.bytes_allocated", shm.size)
-        return EstimateHandle(name=shm.name, n_state=n)
-
-    def read_posterior(self, handle: EstimateHandle) -> StructureEstimate:
-        """Copy the posterior out of ``handle``'s segment (parent side)."""
-        shm = self._segments[handle.name]
-        n = self._dims[handle.name]
-        return StructureEstimate(
-            _mean_view(shm.buf, n, 1).copy(), _cov_view(shm.buf, n, 1).copy()
-        )
-
+    # ------------------------------------------------------------- release
     def release(self, handle: EstimateHandle) -> None:
         """Destroy ``handle``'s segment; safe to call more than once.
 
-        Pinned segments are exempt: a release racing a promote (both run
-        in the dispatching process's ingest path) must never tear down a
-        segment the session cache still references.
+        Pinned segments are exempt: a session's children stay pinned
+        when their parent completes.
         """
         if handle.name in self._pinned.values():
             return

@@ -10,11 +10,16 @@ solver's, and exhausting the resubmit budget raises
 """
 
 import os
+import signal
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.core.hier_solver import HierarchicalSolver
 from repro.errors import WorkerCrashError
@@ -135,3 +140,63 @@ class TestProcessPoolHardDeath:
         n_nodes = len(helix2_problem.hierarchy.nodes)
         assert counters["executor.tasks_resubmitted"] == n_nodes
         assert counters.get("executor.pool_rebuilds", 0) == 0
+
+
+#: A kill-mode cycle whose main thread pauses inside every Future() it
+#: creates, which ``ProcessPoolExecutor.submit`` does between its
+#: broken-pool check and registering the task: a worker death in that
+#: pause leaves the task's future unresolved on CPython before 3.12.
+_RACED_SUBMITS = """
+import threading, time
+import concurrent.futures._base as base
+import numpy as np
+from repro.core.hier_solver import HierarchicalSolver
+from repro.faults import FaultConfig, FaultInjector, fault_injection
+from repro.molecules.rna import build_helix
+from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor
+
+init = base.Future.__init__
+
+def paused_init(self):
+    if threading.current_thread() is threading.main_thread():
+        time.sleep(0.02)
+    init(self)
+
+base.Future.__init__ = paused_init
+problem = build_helix(2)
+problem.assign()
+estimate = problem.initial_estimate(0)
+serial = HierarchicalSolver(problem.hierarchy, batch_size=16).run_cycle(estimate)
+n_nodes = len(problem.hierarchy.nodes)
+inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0, crash_mode="kill"))
+with ProcessExecutor(2, max_resubmits=n_nodes) as ex, fault_injection(inj):
+    result = ParallelHierarchicalSolver(
+        problem.hierarchy, batch_size=16, executor=ex
+    ).run_cycle(estimate)
+assert np.array_equal(result.estimate.covariance, serial.estimate.covariance)
+print("bitwise")
+"""
+
+
+def test_a_submit_racing_a_pool_break_is_resubmitted(tmp_path):
+    """A task whose submit raced a pool break is lost with the pool and
+    resubmitted, instead of leaving the dispatch loop waiting forever."""
+    out = tmp_path / "out.txt"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    with open(out, "w") as fh:
+        # Its own session, so a hung run's pool workers go down with it.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _RACED_SUBMITS],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=fh,
+            stderr=subprocess.STDOUT,
+            start_new_session=True,
+        )
+        try:
+            returncode = proc.wait(timeout=150)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            pytest.fail("the dispatch loop hung on a raced submit")
+    assert returncode == 0, out.read_text()
+    assert out.read_text().strip().endswith("bitwise")

@@ -8,13 +8,8 @@ from repro.experiments.ablation_decompose import format_decompose, run_decompose
 from repro.experiments.ablation_dynamic import format_dynamic, run_dynamic_ablation
 from repro.experiments.ablation_ordering import format_ordering, run_ordering_ablation
 from repro.experiments.exp_table1 import figure5_series, format_table1, run_table1
-from repro.experiments.exp_table2 import (
-    Table2Result,
-    figure6_series,
-    format_table2,
-    run_table2,
-)
-from repro.experiments.exp_parallel import EXHIBITS, figure_series
+from repro.experiments.exp_table2 import figure6_series, format_table2, run_table2
+from repro.experiments.exp_parallel import EXHIBITS
 from repro.molecules.rna import build_helix
 
 

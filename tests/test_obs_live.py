@@ -13,6 +13,7 @@ and the streaming internals of :mod:`repro.obs.metrics`:
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -434,6 +435,23 @@ class TestRenderTop:
 
     def test_empty_rows(self):
         assert obs.render_top({}, []) == "no heartbeats yet"
+
+    def test_serial_solve_renders_one_busy_worker(self, helix2_problem, tmp_path):
+        """The serial solver publishes the scheduler figures too: one
+        worker, busy for its node seconds."""
+        registry = obs.MetricsRegistry()
+        path = tmp_path / "hb.jsonl"
+        solver = HierarchicalSolver(helix2_problem.hierarchy, batch_size=16)
+        with obs.metrics_scope(registry), obs.TelemetrySnapshotter(
+            registry, path, period=60.0
+        ) as snap:
+            snap.beat()
+            solver.run_cycle(helix2_problem.initial_estimate(0))
+        meta, rows = obs.read_heartbeats(path)
+        out = obs.render_top(meta, rows)
+        assert "workers 1  inflight 0" in out
+        busy = re.search(r"busy (\d+\.\d)%", out)
+        assert busy is not None and float(busy.group(1)) > 0
 
     def test_slo_breach_shows_in_view(self):
         bad_bucket = {str(bucket_index(10.0)): 5}

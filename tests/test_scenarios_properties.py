@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.session import SolveSession
-from repro.core.update import AnnealSchedule, UpdateOptions
+from repro.core.update import AnnealSchedule
 from repro.errors import DimensionError, ScenarioError
 from repro.parallel import ThreadExecutor
 from repro.scenarios import (

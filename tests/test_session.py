@@ -5,20 +5,33 @@ dirty path is *bit-identical* to a cold full pass over the edited
 problem from the same warm start, on every backend.
 """
 
+import glob
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.constraints import DistanceConstraint, PositionConstraint
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.hierarchy import assign_constraints
 from repro.core.session import SessionResolveResult, SolveSession
 from repro.core.state import StructureEstimate
-from repro.errors import CheckpointError, HierarchyError, SessionError
-from repro.faults import CheckpointManager, SessionStore
+from repro.errors import CheckpointError, HierarchyError, SessionError, WorkerCrashError
+from repro.faults import (
+    CheckpointManager,
+    FaultConfig,
+    FaultInjector,
+    SessionStore,
+    fault_injection,
+)
 from repro.molecules.rna import build_helix
-from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor, ThreadExecutor
+from repro.parallel import (
+    ParallelHierarchicalSolver,
+    ProcessExecutor,
+    SharedEstimatePlane,
+    ThreadExecutor,
+)
 
 
 def _leaf_delta(problem, leaf_index: int = 0) -> DistanceConstraint:
@@ -295,6 +308,90 @@ class TestSharedMemoryPinning:
             # No segment leaks: exactly one live segment per node.
             assert len(plane) == len(helix2_problem.hierarchy.nodes)
 
+    def test_no_segment_churn_after_the_first_cycle(self, helix2_problem):
+        """Each node keeps one segment: later cycles and resolves rewrite it
+        in place, creating, releasing and allocating nothing."""
+        nodes = helix2_problem.hierarchy.nodes
+        registry = obs.MetricsRegistry()
+        names = ("shm.segments_created", "shm.segments_released", "shm.bytes_allocated")
+
+        def counters():
+            return {k: registry.counter(k).value for k in names}
+
+        est = helix2_problem.initial_estimate(0)
+        with ProcessExecutor(2) as executor, SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            executor=executor,
+        ) as session, obs.metrics_scope(registry):
+            session.solve(est, max_cycles=1, tol=0.0)
+            first = counters()
+            assert first["shm.segments_created"] == len(nodes)
+            assert first["shm.segments_released"] == 0
+            segments = {n.nid: session._plane.pinned_name(n.nid) for n in nodes}
+            session.solve(est, max_cycles=2, tol=0.0)
+            session.add_constraints([_leaf_delta(helix2_problem, 0)])
+            session.resolve()
+            session.resolve(scope="full")
+            assert counters() == first
+            assert {n.nid: session._plane.pinned_name(n.nid) for n in nodes} == segments
+            assert len(session._plane) == len(nodes)
+
+    def test_clean_children_reach_workers_by_handle(
+        self, helix2_problem, monkeypatch
+    ):
+        """A dirty parent's worker reads each clean child from its pin: the
+        dispatcher copies no clean posterior out of shared memory."""
+        est = helix2_problem.initial_estimate(0)
+        copies = []
+        pinned_posterior = SharedEstimatePlane.pinned_posterior
+
+        def spy(plane, nid):
+            copies.append(nid)
+            return pinned_posterior(plane, nid)
+
+        registry = obs.MetricsRegistry()
+        with ProcessExecutor(2) as executor, SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            executor=executor,
+        ) as session:
+            session.solve(est, max_cycles=2, tol=0.0)
+            session.add_constraints([_leaf_delta(helix2_problem, 0)])
+            monkeypatch.setattr(SharedEstimatePlane, "pinned_posterior", spy)
+            with obs.metrics_scope(registry):
+                result = session.resolve()
+        assert copies == []
+        assert result.cache_hits > 0
+        assert registry.counter("shm.segments_reused").value == result.cache_hits
+        assert registry.counter("session.cache_hits").value == result.cache_hits
+
+    def test_failed_resolve_leaves_no_partly_written_pin(self, helix2_problem):
+        """A resolve that raises releases its unfinished nodes' segments;
+        the session then resolves to a serial twin's bits."""
+        twin_problem = build_helix(2)
+        est = helix2_problem.initial_estimate(0)
+        before = set(glob.glob("/dev/shm/psm_*"))
+        with ProcessExecutor(2, max_resubmits=0) as executor, SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            executor=executor,
+        ) as session, SolveSession(
+            twin_problem.hierarchy, twin_problem.constraints
+        ) as twin:
+            session.solve(est, max_cycles=2, tol=0.0)
+            twin.solve(twin_problem.initial_estimate(0), max_cycles=2, tol=0.0)
+            session.add_constraints([_leaf_delta(helix2_problem, 0)])
+            twin.add_constraints([_leaf_delta(twin_problem, 0)])
+            plane = session._plane
+            inj = FaultInjector(FaultConfig(crash_p=1.0, seed=0))
+            with fault_injection(inj), pytest.raises(WorkerCrashError):
+                session.resolve()
+            pins = [n.nid for n in helix2_problem.hierarchy.nodes if plane.has_pinned(n.nid)]
+            assert len(plane) == len(pins) < len(helix2_problem.hierarchy.nodes)
+            for nid in session.dirty_nids - set(pins):
+                with pytest.raises(SessionError):
+                    session.cache.load(nid)
+            _assert_estimates_equal(session.resolve().estimate, twin.resolve().estimate)
+        assert set(glob.glob("/dev/shm/psm_*")) == before
+
 
 class TestPersistence:
     def test_store_roundtrip_resolves_identically(self, helix2_problem, tmp_path):
@@ -320,6 +417,26 @@ class TestPersistence:
         _assert_estimates_equal(
             twin.resolve().estimate, session.resolve().estimate
         )
+
+    def test_reloaded_session_resolves_on_process(self, helix2_problem, tmp_path):
+        """Clean posteriors a reloaded session holds only host-side are
+        copied into pinned segments, so a process resolve reads them by
+        handle and lands on the serial session's bits."""
+        est = helix2_problem.initial_estimate(0)
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+        )
+        session.solve(est, max_cycles=2, tol=0.0)
+        with ProcessExecutor(2) as executor, SolveSession.load(
+            tmp_path, executor=executor
+        ) as twin:
+            twin.add_constraints([_leaf_delta(helix2_problem, leaf_index=1)])
+            session.add_constraints([_leaf_delta(helix2_problem, leaf_index=1)])
+            result = twin.resolve()
+            _assert_estimates_equal(result.estimate, session.resolve().estimate)
+            assert result.cache_hits > 0
+            assert all(twin._plane.has_pinned(n.nid) for n in twin.hierarchy.nodes
+                       if n.nid in result.dirty_nids)
 
     def test_load_defaults_config_from_manifest(self, helix2_problem, tmp_path):
         est = helix2_problem.initial_estimate(0)

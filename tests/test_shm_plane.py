@@ -2,7 +2,8 @@
 
 The acceptance bar for the comms layer: with a pickling backend, the
 per-node task payload is O(handle) bytes instead of O(n²); segments are
-owned (created and unlinked) solely by the dispatching process; and the
+owned (created and unlinked) solely by the dispatching process; the
+dispatcher builds no prior and reads only the root's posterior; and the
 plane survives the process pool being torn down and rebuilt mid-cycle,
 so a resubmitted task re-reads its intact prior.
 """
@@ -26,7 +27,7 @@ from repro.parallel import (
     SharedEstimatePlane,
 )
 from repro.parallel.scheduler import _NodeTask
-from repro.parallel.shm import read_prior, write_posterior
+from repro.parallel.shm import posterior_views, read_prior, write_posterior
 
 
 @pytest.fixture
@@ -48,12 +49,19 @@ def _shm_entries():
     return set(glob.glob("/dev/shm/psm_*"))
 
 
+def _put(plane, est):
+    """A fresh segment holding ``est`` as its prior."""
+    handle = plane.claim(0, est.dim)
+    plane.put_prior(est, handle)
+    return handle
+
+
 # ------------------------------------------------------------------ lifetime
 class TestPlaneLifetime:
     def test_prior_roundtrip(self, rng):
         est = _estimate(rng, 5)
         with SharedEstimatePlane() as plane:
-            handle = plane.put_prior(est)
+            handle = _put(plane, est)
             got = read_prior(handle)
             assert np.array_equal(got.mean, est.mean)
             assert np.array_equal(got.covariance, est.covariance)
@@ -61,7 +69,7 @@ class TestPlaneLifetime:
     def test_posterior_roundtrip(self, rng):
         prior, post = _estimate(rng, 4), _estimate(rng, 4)
         with SharedEstimatePlane() as plane:
-            handle = plane.put_prior(prior)
+            handle = _put(plane, prior)
             write_posterior(handle, post)
             got = plane.read_posterior(handle)
             assert np.array_equal(got.mean, post.mean)
@@ -72,7 +80,7 @@ class TestPlaneLifetime:
 
     def test_posterior_dim_mismatch_rejected(self, rng):
         with SharedEstimatePlane() as plane:
-            handle = plane.put_prior(_estimate(rng, 3))
+            handle = _put(plane, _estimate(rng, 3))
             with pytest.raises(ValueError, match="state dim"):
                 write_posterior(handle, _estimate(rng, 4))
 
@@ -80,7 +88,7 @@ class TestPlaneLifetime:
         """Crash recovery rewrites the posterior slot; last write wins."""
         first, second = _estimate(rng, 3), _estimate(rng, 3)
         with SharedEstimatePlane() as plane:
-            handle = plane.put_prior(first)
+            handle = _put(plane, first)
             write_posterior(handle, first)
             write_posterior(handle, second)
             got = plane.read_posterior(handle)
@@ -88,7 +96,7 @@ class TestPlaneLifetime:
 
     def test_release_is_idempotent(self, rng):
         plane = SharedEstimatePlane()
-        handle = plane.put_prior(_estimate(rng, 2))
+        handle = _put(plane, _estimate(rng, 2))
         assert len(plane) == 1
         plane.release(handle)
         plane.release(handle)  # second release is a no-op
@@ -99,7 +107,7 @@ class TestPlaneLifetime:
         before = _shm_entries()
         plane = SharedEstimatePlane()
         for _ in range(3):
-            plane.put_prior(_estimate(rng, 2))
+            _put(plane, _estimate(rng, 2))
         assert plane.nbytes() == 3 * 8 * (2 * 6 + 2 * 36)
         plane.close()
         plane.close()
@@ -117,11 +125,65 @@ class TestPlaneLifetime:
         assert _shm_entries() == before
 
 
+class TestWorkerBuiltPriors:
+    def test_posterior_views_read_child_slots_in_place(self, rng):
+        """A parent's prior is the block-diagonal of its children's
+        posterior slots, the same bits as from in-process posteriors."""
+        posts = [_estimate(rng, 2), _estimate(rng, 3)]
+        with SharedEstimatePlane() as plane:
+            handles = []
+            for nid, post in enumerate(posts):
+                handle = plane.claim(nid, post.dim)
+                write_posterior(handle, post)
+                handles.append(handle)
+            with posterior_views([handles[0], posts[1]]) as parts:
+                built = StructureEstimate.block_diagonal(parts)
+            assert parts == []  # views dropped, so the mappings closed
+        expect = StructureEstimate.block_diagonal(posts)
+        assert np.array_equal(built.mean, expect.mean)
+        assert np.array_equal(built.covariance, expect.covariance)
+
+    def test_dispatcher_reads_the_root_only_and_builds_no_prior(
+        self, assigned, monkeypatch
+    ):
+        """In the dispatching process a process cycle copies one posterior
+        out of shared memory (the root's) and assembles no block-diagonal
+        prior: workers build parents' priors from their children's
+        segments."""
+        hierarchy, estimate = assigned
+        serial = HierarchicalSolver(hierarchy, batch_size=8).run_cycle(estimate)
+        reads, assemblies = [], []
+        read_posterior = SharedEstimatePlane.read_posterior
+        block_diagonal = StructureEstimate.block_diagonal
+
+        def spy_read(plane, handle):
+            reads.append(handle)
+            return read_posterior(plane, handle)
+
+        def spy_assemble(parts):
+            assemblies.append(len(parts))
+            return block_diagonal(parts)
+
+        monkeypatch.setattr(SharedEstimatePlane, "read_posterior", spy_read)
+        monkeypatch.setattr(
+            StructureEstimate, "block_diagonal", staticmethod(spy_assemble)
+        )
+        with ProcessExecutor(2) as ex:
+            result = ParallelHierarchicalSolver(
+                hierarchy, batch_size=8, executor=ex
+            ).run_cycle(estimate)
+        assert len(reads) == 1
+        assert reads[0].n_state == hierarchy.root.state_dim
+        assert assemblies == []
+        assert np.array_equal(result.estimate.mean, serial.estimate.mean)
+        assert np.array_equal(result.estimate.covariance, serial.estimate.covariance)
+
+
 # ------------------------------------------------------------------ wire size
 class TestWireSize:
     def test_handle_pickles_small(self, rng):
         with SharedEstimatePlane() as plane:
-            handle = plane.put_prior(_estimate(rng, 170))  # helix4 scale, n=510
+            handle = _put(plane, _estimate(rng, 170))  # helix4 scale, n=510
             assert len(pickle.dumps(handle)) < 256
 
     def test_task_payload_is_o_handle_not_o_n_squared(self, rng):
@@ -129,25 +191,44 @@ class TestWireSize:
         est = _estimate(rng, 86)  # n=258: covariance alone is 532 KB
         dense = _NodeTask(
             nid=0,
-            prior=est,
+            state_dim=est.dim,
             constraints=[],
             column_map=np.arange(86),
             batch_size=16,
             options=UpdateOptions(),
+            prior=est,
         )
         with SharedEstimatePlane() as plane:
             slim = _NodeTask(
                 nid=0,
-                prior=None,
+                state_dim=est.dim,
                 constraints=[],
                 column_map=np.arange(86),
                 batch_size=16,
                 options=UpdateOptions(),
-                prior_handle=plane.put_prior(est),
+                handle=_put(plane, est),
             )
             n = est.mean.shape[0]
             assert len(pickle.dumps(dense)) > 8 * n * n
             assert len(pickle.dumps(slim)) < 4096
+
+    @pytest.mark.parametrize("n_atoms", [2, 86, 300])
+    def test_parent_task_carries_child_handles_only(self, n_atoms):
+        """A parent's sources are its children's segment handles: its task
+        pickles to the same few bytes whatever the state dimension."""
+        with SharedEstimatePlane() as plane:
+            children = tuple(plane.claim(nid, 3 * n_atoms) for nid in (1, 2))
+            parent = _NodeTask(
+                nid=0,
+                state_dim=6 * n_atoms,
+                constraints=[],
+                column_map=np.arange(86),
+                batch_size=16,
+                options=UpdateOptions(),
+                children=children,
+                handle=plane.claim(0, 6 * n_atoms),
+            )
+            assert len(pickle.dumps(parent)) < 4096
 
     def test_plane_active_for_process_backend_by_default(self, assigned):
         hierarchy, _ = assigned
