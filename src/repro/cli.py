@@ -19,7 +19,6 @@ Usage::
     python -m repro obs top hb.jsonl --once --slo cycle.seconds:2.0:0.95
     python -m repro obs doctor trace.jsonl --problem helix8.npz
     python -m repro obs critical-path trace.jsonl
-    python -m repro obs regress --out regress.json
     python -m repro fuzz --seed 0 --budget 50 --backends thread
     python -m repro fuzz --seed 17 --budget 1 --minimize
 
@@ -32,8 +31,8 @@ reproducing seed (``--minimize`` shrinks the spec first);
 :mod:`repro.obs` timeline and metrics (see docs/observability.md);
 ``simulate`` prices one recorded cycle of the saved problem on a modeled
 machine (Tables 3-6 style); the ``obs`` family analyzes recorded traces
-post-hoc (critical path, worker utilization, Equation-1 drift) and diffs
-fresh benchmark figures against the committed baselines.
+post-hoc (critical path, worker utilization, Equation-1 drift, capacity
+planning).
 
 The *live* telemetry plane rides along with any solve: ``--heartbeat
 PATH[:SECS]`` streams metrics snapshots to a JSONL file that ``repro obs
@@ -544,37 +543,6 @@ def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote report to {args.out}")
     return 0
-
-
-def _cmd_obs_regress(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-
-    hotpath = None if args.only == "incremental" else args.hotpath_baseline
-    incremental = None if args.only == "hotpath" else args.incremental_baseline
-    try:
-        report = obs.run_regress(
-            hotpath_baseline=hotpath,
-            incremental_baseline=incremental,
-            fresh_hotpath=args.fresh_hotpath or None,
-            fresh_incremental=args.fresh_incremental or None,
-            repeats=args.repeats,
-            max_ratio=args.max_regression,
-            min_speedup=args.min_speedup,
-            seed=args.seed,
-            plan_trace=args.plan_trace,
-            plan_max_drift=args.plan_max_drift,
-        )
-    except (OSError, KeyError, ValueError) as exc:
-        raise SystemExit(f"regress: {exc}") from exc
-    print(obs.format_regress_report(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.out}")
-    return 0 if report["ok"] else 1
 
 
 def _parse_workers(spec: str) -> list[int]:
@@ -1102,14 +1070,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.set_defaults(fn=_cmd_simulate)
 
-    obs_cmd = sub.add_parser(
-        "obs", help="post-hoc trace analytics and benchmark regression gates"
-    )
+    obs_cmd = sub.add_parser("obs", help="post-hoc trace analytics")
     obs_sub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
     top = obs_sub.add_parser(
         "top",
-        help="live terminal view of a heartbeat file: lane busy%, "
+        help="live terminal view of a heartbeat file: lane busy%%, "
         "p50/p99, SLO burn rate, per-session series",
     )
     top.add_argument(
@@ -1174,82 +1140,10 @@ def build_parser() -> argparse.ArgumentParser:
     cpath.add_argument("--out", default=None)
     cpath.set_defaults(fn=_cmd_obs_critical_path)
 
-    regress = obs_sub.add_parser(
-        "regress",
-        help="diff fresh benchmark figures against the committed baselines",
-    )
-    regress.add_argument(
-        "--hotpath-baseline",
-        default="BENCH_hotpath.json",
-        help="committed hot-path baseline report",
-    )
-    regress.add_argument(
-        "--incremental-baseline",
-        default="BENCH_incremental.json",
-        help="committed incremental baseline report",
-    )
-    regress.add_argument(
-        "--only",
-        choices=["hotpath", "incremental"],
-        default=None,
-        help="run a single gate instead of both",
-    )
-    regress.add_argument(
-        "--fresh-hotpath",
-        action="append",
-        default=[],
-        metavar="REPORT",
-        help="fresh bench_hotpath report(s) to diff instead of measuring "
-        "in-process (repeatable; one sample each)",
-    )
-    regress.add_argument(
-        "--fresh-incremental",
-        action="append",
-        default=[],
-        metavar="REPORT",
-        help="fresh bench_incremental report(s) to diff instead of measuring "
-        "in-process (repeatable)",
-    )
-    regress.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="in-process measurement repeats per metric (noise band)",
-    )
-    regress.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="hot-path limit: baseline seconds_per_row x this ratio",
-    )
-    regress.add_argument(
-        "--min-speedup",
-        type=float,
-        default=3.0,
-        help="incremental floor: warm-over-cold speedup must stay above this",
-    )
-    regress.add_argument("--seed", type=int, default=0)
-    regress.add_argument(
-        "--plan-trace",
-        default=None,
-        metavar="TRACE",
-        help="also gate the capacity planner: re-simulate this trace at its "
-        "own lane count and fail on prediction-vs-measured drift",
-    )
-    regress.add_argument(
-        "--plan-max-drift",
-        type=float,
-        default=None,
-        help="allowed relative planner drift for --plan-trace (default 0.30)",
-    )
-    regress.add_argument(
-        "--out", default=None, help="write the machine-readable verdict JSON"
-    )
-    regress.set_defaults(fn=_cmd_obs_regress)
-
     plan = obs_sub.add_parser(
         "plan",
-        help="predict makespan/latency/cost at any fleet size from one trace",
+        help="predict makespan/latency/cost at any fleet size from one trace "
+        "(diagnostic only: assumes free dispatch and uncontended node seconds)",
     )
     plan.add_argument(
         "trace", help="trace file from 'solve --trace' (.jsonl or Chrome JSON)"
@@ -1288,7 +1182,8 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--recommend",
         action="store_true",
-        help="print the recommended worker count as the final line",
+        help="print the recommended worker count as the final line "
+        "(a diagnostic, not a measured speedup)",
     )
     plan.add_argument(
         "--worker-hour-cost",

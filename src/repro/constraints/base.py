@@ -130,8 +130,3 @@ class LinearConstraint(Constraint):
 
     def jacobian(self, coords: np.ndarray) -> np.ndarray:
         return self.coefficients
-
-
-def local_coords(coords: np.ndarray, atoms: tuple[int, ...]) -> np.ndarray:
-    """Gather the ``(len(atoms), 3)`` coordinate rows for ``atoms``."""
-    return coords[list(atoms), :]

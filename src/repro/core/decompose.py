@@ -181,8 +181,3 @@ def _spectral_bisect(sub: nx.Graph, atoms: np.ndarray) -> tuple[np.ndarray, np.n
     half = len(nodes) // 2
     nodes_arr = np.array(nodes, dtype=np.int64)
     return np.sort(nodes_arr[order[:half]]), np.sort(nodes_arr[order[half:]])
-
-
-def leaf_capture_score(hierarchy: Hierarchy) -> float:
-    """Convenience re-export of the leaf-locality metric used by ablations."""
-    return hierarchy.leaf_constraint_fraction()

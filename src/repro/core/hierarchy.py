@@ -67,9 +67,6 @@ class HierarchyNode:
             yield from child.post_order()
         yield self
 
-    def subtree_atoms(self) -> np.ndarray:
-        return self.atoms
-
     def column_map(self, p_global: int) -> np.ndarray:
         """Map global atom id → local slot in this node's state (−1 outside)."""
         out = np.full(p_global, -1, dtype=np.int64)

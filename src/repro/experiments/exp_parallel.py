@@ -95,14 +95,3 @@ def run_parallel_experiment(
         results=results,
         cycle=cycle,
     )
-
-
-def figure_series(experiment: ParallelExperiment) -> dict[str, list[float]]:
-    """Figures 7-10's curves: speedup and category times against P."""
-    out: dict[str, list[float]] = {
-        "np": [float(p) for p in experiment.processor_counts()],
-        "speedup": experiment.speedups(),
-    }
-    for cat in experiment.results[0].breakdown.seconds:
-        out[str(cat)] = [r.breakdown[cat] for r in experiment.results]
-    return out

@@ -228,9 +228,6 @@ class SessionStore:
     def _manifest_path(self) -> Path:
         return self.directory / _SESSION_MANIFEST
 
-    def has_manifest(self) -> bool:
-        return self._manifest_path().exists()
-
     def load_manifest(self) -> dict:
         path = self._manifest_path()
         if not path.exists():

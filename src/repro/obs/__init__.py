@@ -15,12 +15,11 @@ with contextvar scopes so an uninstrumented run stays bit-identical:
   per-category summary; loaders (:func:`load_trace`) round-trip both
   formats back into a :class:`Tracer`; :mod:`repro.obs.validate` checks
   exported files against their schemas.
-* **Analytics** (:mod:`repro.obs.analysis`, :mod:`repro.obs.planner`,
-  :mod:`repro.obs.regress`) — strictly post-hoc: critical path through
-  the node-dependency DAG, per-worker utilization/imbalance, Equation-1
-  drift, capacity planning (predicted makespan/latency/cost at any
-  fleet size from one trace), and noise-aware benchmark regression
-  diffing (the ``repro obs`` CLI family).
+* **Analytics** (:mod:`repro.obs.analysis`, :mod:`repro.obs.planner`)
+  — strictly post-hoc: critical path through the node-dependency DAG,
+  per-worker utilization/imbalance, Equation-1 drift, and capacity
+  planning (predicted makespan/latency/cost at any fleet size from one
+  trace; the ``repro obs`` CLI family).
 * **Live telemetry** (:mod:`repro.obs.live`) — the while-it-runs plane:
   an always-on :class:`FlightRecorder` ring buffer dumped to JSONL on
   forensic triggers, a :class:`TelemetrySnapshotter` heartbeat exporter
@@ -91,7 +90,7 @@ from repro.obs.tracer import (
 _LAZY = {
     # Lazy: keeps ``python -m repro.obs.validate`` free of the runpy
     # double-import warning while still exporting the validate API here,
-    # and keeps the analysis/regress machinery (numpy-heavy, CLI-facing)
+    # and keeps the analysis/planner machinery (numpy-heavy, CLI-facing)
     # out of the instrumentation import path.
     "flight_jsonl_stats": "repro.obs.validate",
     "heartbeat_jsonl_stats": "repro.obs.validate",
@@ -115,10 +114,6 @@ _LAZY = {
     "format_doctor_report": "repro.obs.analysis",
     "solve_passes": "repro.obs.analysis",
     "worker_utilization": "repro.obs.analysis",
-    "check_metric": "repro.obs.regress",
-    "format_regress_report": "repro.obs.regress",
-    "median_mad": "repro.obs.regress",
-    "run_regress": "repro.obs.regress",
 }
 
 
@@ -142,7 +137,6 @@ __all__ = [
     "Span",
     "TelemetrySnapshotter",
     "Tracer",
-    "check_metric",
     "chrome_trace_events",
     "compare_cis",
     "cost_ci",
@@ -157,13 +151,11 @@ __all__ = [
     "format_doctor_report",
     "format_obs_summary",
     "format_plan_report",
-    "format_regress_report",
     "heartbeat_jsonl_stats",
     "inc",
     "instant",
     "labeled_name",
     "load_trace",
-    "median_mad",
     "metrics_scope",
     "observe",
     "observe_latency",
@@ -176,7 +168,6 @@ __all__ = [
     "read_heartbeats",
     "read_spans_jsonl",
     "render_top",
-    "run_regress",
     "self_validation",
     "set_gauge",
     "simulate_schedule",

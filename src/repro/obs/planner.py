@@ -29,7 +29,9 @@ the configured threshold — "this workload wants N workers; adding more
 buys <X%".  :func:`self_validation` closes the loop against reality:
 re-simulating the trace at its own lane count must land within a drift
 budget of the measured wall time, which is the prediction-vs-measured
-gate CI and ``repro obs regress`` enforce.
+gate CI enforces with ``repro obs plan --max-drift``.  Predictions at
+other fleet sizes are diagnostic only: they assume node seconds do not
+change with the fleet and that dispatch and transfer cost nothing.
 
 Everything here is strictly post-hoc and off the solve path.
 """

@@ -1,8 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import os
 
-import numpy as np
 import pytest
 
 from repro import io as rio
@@ -345,3 +345,21 @@ class TestParser:
         except AttributeError:
             usable = os.cpu_count()
         assert build_parser().parse_args(argv).workers == usable
+
+    def test_every_help_page_renders(self):
+        # argparse %-formats help strings, so a bare '%' breaks --help.
+        def pages(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from pages(sub)
+
+        for page in pages(build_parser()):
+            assert page.format_help()
+
+    def test_obs_help_lists_its_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["obs", "--help"])
+        assert exc.value.code == 0
+        assert "{top,doctor,critical-path,plan}" in capsys.readouterr().out

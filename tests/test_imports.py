@@ -2,7 +2,9 @@
 
 Each import runs in a fresh interpreter, so an import cycle that only
 resolves when some other subpackage happened to load first fails here.
-``python -m repro`` is checked the same way for its BLAS thread pin.
+Every name a package exports in ``__all__`` must resolve, and
+``python -m repro`` is checked in a fresh interpreter for its BLAS
+thread pin.
 """
 
 import json
@@ -24,17 +26,51 @@ def test_subpackages_found():
     assert {"core", "molecules", "machine", "parallel"} <= set(SUBPACKAGES)
 
 
-@pytest.mark.parametrize("name", SUBPACKAGES)
-def test_subpackage_imports_in_a_fresh_interpreter(name):
+def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import repro.{name}"],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("name", SUBPACKAGES)
+def test_subpackage_imports_in_a_fresh_interpreter(name):
+    proc = _run_fresh(f"import repro.{name}")
     assert proc.returncode == 0, proc.stderr
+
+
+#: Imports each module named in argv and ``getattr``s every name in its
+#: ``__all__`` (lazy exports included); prints what failed as JSON.
+_EXPORT_PROBE = """
+import importlib, json, sys
+problems = []
+for name in sys.argv[1:]:
+    module = importlib.import_module(name)
+    exported = module.__all__
+    if len(set(exported)) != len(exported):
+        problems.append(f"{name}: duplicate names in __all__")
+    for attr in exported:
+        try:
+            getattr(module, attr)
+        except (AttributeError, ImportError) as exc:
+            problems.append(f"{name}.{attr}: {exc!r}")
+obs = importlib.import_module("repro.obs")
+stray = sorted(set(obs._LAZY) - set(obs.__all__))
+if stray:
+    problems.append(f"repro.obs._LAZY names missing from __all__: {stray}")
+print(json.dumps(problems))
+"""
+
+
+def test_every_public_name_resolves():
+    modules = ["repro"] + [f"repro.{name}" for name in SUBPACKAGES]
+    proc = _run_fresh(_EXPORT_PROBE, *modules)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
 #: Runs ``python -m repro --help`` in-process, then reads back the thread

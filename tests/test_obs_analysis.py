@@ -1,4 +1,4 @@
-"""Tests for the post-hoc trace analytics and regression-gate layer.
+"""Tests for the post-hoc trace analytics layer.
 
 Covers: the spans-JSONL / Chrome-trace loaders (exact round-trip, id
 preservation, error reporting), spans-JSONL schema validation (and its
@@ -6,8 +6,7 @@ CLI), critical-path extraction on hand-built traces with known answers,
 per-lane utilization and imbalance attribution, Equation-1 drift
 verdicts, the doctor's cross-backend determinism guarantee (same DAG
 from serial/thread/process traces of the same problem, warm ``resolve``
-passes included), the noise-aware regression checks, and the ``repro
-obs`` CLI family.
+passes included), and the ``repro obs`` CLI family.
 """
 
 import json
@@ -20,7 +19,7 @@ from repro.cli import main
 from repro.core.hierarchy import assign_constraints
 from repro.core.workmodel import WorkModel, analytic_work_model
 from repro.errors import TraceAnalysisError
-from repro.obs import analysis, regress
+from repro.obs import analysis
 from repro.obs.tracer import Span, Tracer
 from repro.obs.validate import spans_jsonl_stats, validate_spans_jsonl
 from repro.parallel import (
@@ -449,137 +448,6 @@ class TestDoctorAcrossBackends:
         assert heavy["predicted_seconds"] is None or heavy["predicted_seconds"] > 0.0
 
 
-def _hotpath_report(spc, key="seconds_per_row"):
-    return {"results": {"helix": [
-        {"backend": "serial", "kernel_impl": "fast", key: spc},
-    ]}}
-
-
-def _incremental_report(speedup, identical=True):
-    return {"results": {"helix": [
-        {"backend": "serial", "speedup_vs_cold_solve": speedup,
-         "bit_identical_to_full_resolve": identical},
-    ]}}
-
-
-def _write(path, doc):
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-class TestRegress:
-    def test_median_mad(self):
-        med, mad = regress.median_mad([1.0, 2.0, 100.0])
-        assert med == 2.0 and mad == 1.0
-        with pytest.raises(ValueError):
-            regress.median_mad([])
-
-    def test_higher_is_worse_discounts_noise(self):
-        # median 1.1x baseline with one wild outlier: the MAD band absorbs it
-        check = regress.check_metric(
-            "m", [1.0, 1.1, 1.2, 5.0], limit=2.0, direction="higher-is-worse"
-        )
-        assert check["ok"]
-
-    def test_higher_is_worse_fails_on_real_regression(self):
-        check = regress.check_metric(
-            "m", [3.0, 3.1, 2.9], limit=2.0, direction="higher-is-worse"
-        )
-        assert not check["ok"]
-
-    def test_lower_is_worse(self):
-        ok = regress.check_metric("s", [10.0, 11.0], limit=3.0,
-                                  direction="lower-is-worse")
-        bad = regress.check_metric("s", [1.0, 1.1], limit=3.0,
-                                   direction="lower-is-worse")
-        assert ok["ok"] and not bad["ok"]
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            regress.check_metric("m", [1.0], limit=1.0, direction="sideways")
-
-    def test_run_regress_passes_on_unchanged_figures(self, tmp_path):
-        hb = _write(tmp_path / "hb.json", _hotpath_report(1e-4))
-        ib = _write(tmp_path / "ib.json", _incremental_report(10.0))
-        fresh_h = [_write(tmp_path / f"fh{i}.json", _hotpath_report(1e-4 * s))
-                   for i, s in enumerate([1.0, 1.05, 0.95])]
-        fresh_i = [_write(tmp_path / f"fi{i}.json", _incremental_report(sp))
-                   for i, sp in enumerate([9.0, 10.0, 11.0])]
-        report = regress.run_regress(
-            hotpath_baseline=hb, incremental_baseline=ib,
-            fresh_hotpath=fresh_h, fresh_incremental=fresh_i,
-        )
-        assert report["ok"] and report["failures"] == []
-        assert len(report["checks"]) == 3
-
-    def test_run_regress_fails_on_3x_slowdown(self, tmp_path):
-        hb = _write(tmp_path / "hb.json", _hotpath_report(1e-4))
-        fresh = [_write(tmp_path / f"f{i}.json", _hotpath_report(3e-4 * s))
-                 for i, s in enumerate([1.0, 1.02, 0.98])]
-        report = regress.run_regress(hotpath_baseline=hb, fresh_hotpath=fresh)
-        assert not report["ok"]
-        assert report["failures"] == [
-            "hotpath.helix.serial.fast.seconds_per_row"
-        ]
-        assert "FAIL" in regress.format_regress_report(report)
-
-    def test_hotpath_metric_reads_legacy_key(self, tmp_path):
-        # committed baselines predate the seconds_per_row rename; the
-        # legacy seconds_per_constraint key must stay readable
-        legacy = _hotpath_report(2e-4, key="seconds_per_constraint")
-        assert regress.hotpath_metric(legacy) == 2e-4
-        hb = _write(tmp_path / "hb.json", legacy)
-        fresh = [_write(tmp_path / "f.json", _hotpath_report(2.1e-4))]
-        report = regress.run_regress(hotpath_baseline=hb, fresh_hotpath=fresh)
-        assert report["ok"]
-
-    def test_run_regress_records_environment(self, tmp_path):
-        hb = _write(tmp_path / "hb.json", _hotpath_report(1e-4))
-        fresh = [_write(tmp_path / "f.json", _hotpath_report(1e-4))]
-        report = regress.run_regress(
-            hotpath_baseline=hb, fresh_hotpath=fresh, repeats=5, seed=3
-        )
-        env = report["environment"]
-        assert env["backend"] == "serial" and env["workers"] == 1
-        assert env["kernel_impl"] == "fast" and env["repeats"] == 5
-        assert env["seed"] == 3 and env["quick"] is False
-        assert env["fresh_hotpath_reports"] == [str(fresh[0])]
-
-    def test_run_regress_fails_on_lost_bit_identity(self, tmp_path):
-        ib = _write(tmp_path / "ib.json", _incremental_report(10.0))
-        fresh = [_write(tmp_path / "f.json",
-                        _incremental_report(10.0, identical=False))]
-        report = regress.run_regress(
-            incremental_baseline=ib, fresh_incremental=fresh
-        )
-        assert not report["ok"]
-        assert "incremental.helix.serial.bit_identical_to_full_resolve" in (
-            report["failures"]
-        )
-
-    def test_bench_gates_share_the_judgment(self, tmp_path):
-        # the benchmark runners' --check-against path goes through the
-        # same check_metric used here
-        import sys
-
-        sys.path.insert(0, "benchmarks")
-        try:
-            import bench_hotpath
-            import bench_incremental
-        finally:
-            sys.path.pop(0)
-        hb = tmp_path / "hb.json"
-        hb.write_text(json.dumps(_hotpath_report(1e-4)))
-        assert bench_hotpath._check_regression(
-            _hotpath_report(1.5e-4), str(hb), 2.0) == 0
-        assert bench_hotpath._check_regression(
-            _hotpath_report(3e-4), str(hb), 2.0) == 1
-        assert bench_incremental._gate(_incremental_report(10.0), None, 3.0) == 0
-        assert bench_incremental._gate(_incremental_report(2.0), None, 3.0) == 1
-        assert bench_incremental._gate(
-            _incremental_report(10.0, identical=False), None, 3.0) == 1
-
-
 class TestObsCLI:
     @pytest.fixture
     def trace_file(self, assigned_problem, tmp_path):
@@ -610,32 +478,6 @@ class TestObsCLI:
         obs.write_spans_jsonl(tracer, path)
         with pytest.raises(SystemExit, match="cannot analyze"):
             main(["obs", "doctor", str(path)])
-
-    def test_regress_pass_and_fail(self, tmp_path, capsys):
-        hb = _write(tmp_path / "hb.json", _hotpath_report(1e-4))
-        good = _write(tmp_path / "good.json", _hotpath_report(1.1e-4))
-        bad = _write(tmp_path / "bad.json", _hotpath_report(3e-4))
-        out = tmp_path / "regress.json"
-        rc = main([
-            "obs", "regress", "--only", "hotpath", "--hotpath-baseline", hb,
-            "--fresh-hotpath", good, "--out", str(out),
-        ])
-        assert rc == 0
-        assert json.loads(out.read_text())["ok"]
-        rc = main([
-            "obs", "regress", "--only", "hotpath", "--hotpath-baseline", hb,
-            "--fresh-hotpath", bad, "--out", str(out),
-        ])
-        assert rc == 1
-        err_text = capsys.readouterr().out
-        assert "seconds_per_row" in err_text  # offending metric named
-        assert not json.loads(out.read_text())["ok"]
-
-    def test_regress_missing_baseline_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="regress"):
-            main(["obs", "regress", "--only", "hotpath",
-                  "--hotpath-baseline", str(tmp_path / "nope.json")])
-
 
 class TestWorkModelResidualAPI:
     def test_node_work_batch_matches_scalar(self):

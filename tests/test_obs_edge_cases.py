@@ -1,13 +1,11 @@
-"""Edge cases for the obs analytics and regression-gate loaders.
+"""Edge cases for the obs analytics.
 
 Degenerate traces the fuzzer can produce — zero-constraint solves,
 single-cycle convergence, warm re-solves whose dirty frontier is empty —
 must flow through ``doctor_report``/``solve_passes`` without crashing,
-and the regress loaders must fail loudly (typed errors, not stack
-corruption) on malformed benchmark reports.
+and an empty trace must fail with a typed error.
 """
 
-import json
 from dataclasses import replace
 
 import pytest
@@ -16,13 +14,6 @@ from repro import obs
 from repro.core.session import SolveSession
 from repro.errors import TraceAnalysisError
 from repro.obs import analysis
-from repro.obs.regress import (
-    check_metric,
-    hotpath_metric,
-    incremental_entry,
-    median_mad,
-    run_regress,
-)
 from repro.scenarios import build_scenario, spec_from_seed
 
 
@@ -81,83 +72,3 @@ class TestDoctorDegenerateTraces:
             analysis.solve_passes(obs.Tracer())
         with pytest.raises(TraceAnalysisError):
             obs.doctor_report(obs.Tracer())
-
-
-class TestRegressLoaders:
-    def test_median_mad_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one sample"):
-            median_mad([])
-
-    def test_check_metric_rejects_unknown_direction(self):
-        with pytest.raises(ValueError, match="direction"):
-            check_metric("m", [1.0], limit=1.0, direction="sideways")
-
-    def test_hotpath_metric_missing_entry(self):
-        with pytest.raises(KeyError):
-            hotpath_metric({"results": {"helix": []}})
-
-    def test_incremental_entry_missing_entry(self):
-        with pytest.raises(KeyError):
-            incremental_entry({"results": {"helix": []}})
-
-    def test_run_regress_from_fresh_report_files(self, tmp_path):
-        """The file-loader path: no in-process measurement, verdict only
-        from report JSONs (what CI's artifact diffing uses).  The base
-        deliberately keeps the legacy seconds_per_constraint key — the
-        committed baseline predates the seconds_per_row rename."""
-        hot = {
-            "results": {
-                "helix": [
-                    {
-                        "backend": "serial",
-                        "kernel_impl": "fast",
-                        "seconds_per_constraint": 1e-4,
-                    }
-                ]
-            }
-        }
-        base = tmp_path / "base.json"
-        fresh = tmp_path / "fresh.json"
-        base.write_text(json.dumps(hot))
-        del hot["results"]["helix"][0]["seconds_per_constraint"]
-        hot["results"]["helix"][0]["seconds_per_row"] = 1.2e-4
-        fresh.write_text(json.dumps(hot))
-        report = run_regress(
-            hotpath_baseline=base,
-            incremental_baseline=None,
-            fresh_hotpath=[fresh],
-        )
-        assert report["ok"]
-        assert report["checks"][0]["samples"] == [1.2e-4]
-
-    def test_run_regress_flags_real_regression(self, tmp_path):
-        hot = {
-            "results": {
-                "helix": [
-                    {
-                        "backend": "serial",
-                        "kernel_impl": "fast",
-                        "seconds_per_row": 1e-4,
-                    }
-                ]
-            }
-        }
-        base = tmp_path / "base.json"
-        fresh = tmp_path / "fresh.json"
-        base.write_text(json.dumps(hot))
-        hot["results"]["helix"][0]["seconds_per_row"] = 5e-4  # 5x
-        fresh.write_text(json.dumps(hot))
-        report = run_regress(
-            hotpath_baseline=base,
-            incremental_baseline=None,
-            fresh_hotpath=[fresh],
-        )
-        assert not report["ok"]
-        assert report["failures"]
-
-    def test_malformed_report_raises_cleanly(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"results": {}}))
-        with pytest.raises(KeyError):
-            run_regress(hotpath_baseline=bad, incremental_baseline=None,
-                        fresh_hotpath=[bad])

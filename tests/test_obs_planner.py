@@ -423,13 +423,6 @@ class TestPlannerCLI:
                    "--max-drift", "0.3"])
         assert rc == 1
 
-    def test_regress_plan_trace_gate(self, trace_file, tmp_path):
-        report = obs.run_regress(plan_trace=trace_file, plan_max_drift=0.3)
-        assert report["ok"]
-        [check] = report["checks"]
-        assert check["metric"].startswith("planner.")
-        assert report["environment"]["plan_trace"] == trace_file
-
     def test_plan_json_validator_cli(self, trace_file, tmp_path, capsys):
         out = tmp_path / "plan.json"
         assert main(["obs", "plan", trace_file, "--workers", "1,2",
