@@ -25,6 +25,7 @@ import pytest
 
 from repro import obs
 from repro.core.hier_solver import HierarchicalSolver
+from repro.core.update import UpdateOptions
 from repro.molecules.ribosome import build_ribo30s
 from repro.molecules.rna import build_helix
 
@@ -38,7 +39,13 @@ def quick() -> bool:
 
 def _recorded_cycle(problem, label: str):
     """Run one cycle, optionally emitting obs artifacts for the workload."""
-    solver = HierarchicalSolver(problem.hierarchy, batch_size=16)
+    # The machine models' rates are calibrated on the reference kernel
+    # mix; other tiers record different kernel events.
+    solver = HierarchicalSolver(
+        problem.hierarchy,
+        batch_size=16,
+        options=UpdateOptions(kernel_impl="reference"),
+    )
     estimate = problem.initial_estimate(0)
     if not OBS_DIR:
         return solver.run_cycle(estimate)

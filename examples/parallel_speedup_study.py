@@ -9,14 +9,22 @@ static scheme's non-power-of-2 dips and how re-grouping softens them.
 Run:  python examples/parallel_speedup_study.py
 """
 
-from repro.core import HierarchicalSolver
-from repro.machine import CHALLENGE, DASH, simulate_solve
+from repro.core import HierarchicalSolver, UpdateOptions
+from repro.machine import (
+    CHALLENGE,
+    DASH,
+    dynamic_assignment_schedule,
+    gantt_chart,
+    simulate_solve,
+)
 from repro.molecules import build_helix
-from repro.parallel import dynamic_assignment_schedule
 
 problem = build_helix(8)
 problem.assign()
-solver = HierarchicalSolver(problem.hierarchy, batch_size=16)
+# The machine models' rates are calibrated on the reference kernel mix.
+solver = HierarchicalSolver(
+    problem.hierarchy, batch_size=16, options=UpdateOptions(kernel_impl="reference")
+)
 cycle = solver.run_cycle(problem.initial_estimate(0))
 records = cycle.record_by_nid()
 
@@ -41,11 +49,8 @@ for machine in (DASH(), CHALLENGE()):
     print()
 
 # Visualize one schedule: the static assignment at a non-power-of-2 count.
-from repro.machine import simulate_solve as _sim
-from repro.machine.gantt import gantt_chart
-
 print("schedule at P=6 on DASH (note the stall before the root join):")
-print(gantt_chart(_sim(cycle, problem.hierarchy, DASH(), 6), width=72))
+print(gantt_chart(simulate_solve(cycle, problem.hierarchy, DASH(), 6), width=72))
 print()
 
 print("Things to notice (cf. the paper):")

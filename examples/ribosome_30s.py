@@ -13,7 +13,7 @@ Run:  python examples/ribosome_30s.py
 
 import numpy as np
 
-from repro.core import HierarchicalSolver
+from repro.core import HierarchicalSolver, UpdateOptions
 from repro.machine import DASH, simulate_solve
 from repro.machine.trace import format_speedup_table
 from repro.molecules import build_ribo30s
@@ -31,7 +31,10 @@ print(f"  tree: {len(problem.hierarchy)} nodes; root branches into "
       f"{len(root.children)} domains; height {problem.hierarchy.height()}")
 
 # --- one hierarchical cycle, recording every kernel ------------------------
-solver = HierarchicalSolver(problem.hierarchy, batch_size=16)
+# The machine models' rates are calibrated on the reference kernel mix.
+solver = HierarchicalSolver(
+    problem.hierarchy, batch_size=16, options=UpdateOptions(kernel_impl="reference")
+)
 estimate = problem.initial_estimate(seed=0)
 cycle = solver.run_cycle(estimate)
 print(f"\none cycle on the host: {cycle.seconds:.2f} s, "

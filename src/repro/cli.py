@@ -31,8 +31,7 @@ reproducing seed (``--minimize`` shrinks the spec first);
 :mod:`repro.obs` timeline and metrics (see docs/observability.md);
 ``simulate`` prices one recorded cycle of the saved problem on a modeled
 machine (Tables 3-6 style); the ``obs`` family analyzes recorded traces
-post-hoc (critical path, worker utilization, Equation-1 drift, capacity
-planning).
+post-hoc (critical path, worker utilization, Equation-1 drift).
 
 The *live* telemetry plane rides along with any solve: ``--heartbeat
 PATH[:SECS]`` streams metrics snapshots to a JSONL file that ``repro obs
@@ -543,74 +542,6 @@ def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote report to {args.out}")
     return 0
-
-
-def _parse_workers(spec: str) -> list[int]:
-    try:
-        counts = sorted({int(tok) for tok in spec.split(",") if tok.strip()})
-    except ValueError as exc:
-        raise SystemExit(f"--workers: {exc}") from exc
-    if not counts or counts[0] < 1:
-        raise SystemExit(f"--workers: counts must be positive integers, got {spec!r}")
-    return counts
-
-
-def _cmd_obs_plan(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.core.workmodel import analytic_work_model
-    from repro.machine.costmodel import FleetCostModel
-
-    tracer, hierarchy, TraceAnalysisError = _load_trace_and_hierarchy(args)
-    model = analytic_work_model(args.flop_rate) if args.flop_rate else None
-    fleet = FleetCostModel(
-        worker_hour_dollars=args.worker_hour_cost,
-        makespan_hour_dollars=args.makespan_hour_cost,
-    )
-    try:
-        plan = obs.plan_report(
-            tracer,
-            workers=_parse_workers(args.workers),
-            hierarchy=hierarchy,
-            model=model,
-            trials=args.trials,
-            seed=args.seed,
-            ci_percent=args.ci,
-            fleet_cost=fleet,
-            knee=args.knee,
-            discount_overhead=not args.no_overhead_discount,
-            max_drift=args.max_drift,
-        )
-        for spec in args.measured or []:
-            workers_str, _, trace_path = spec.partition(":")
-            if not trace_path:
-                raise SystemExit(
-                    f"--measured: expected WORKERS:TRACE, got {spec!r}"
-                )
-            plan["validation"].append(
-                obs.validate_prediction(
-                    plan,
-                    obs.load_trace(trace_path),
-                    hierarchy=hierarchy,
-                    max_drift=args.max_drift,
-                    trace=trace_path,
-                )
-            )
-    except TraceAnalysisError as exc:
-        raise SystemExit(f"cannot plan from {args.trace}: {exc}") from exc
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"plan: {exc}") from exc
-    print(obs.format_plan_report(plan))
-    if args.recommend:
-        print(plan["recommendation"]["statement"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(plan, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote plan to {args.out}")
-    drifted = [v for v in plan["validation"] if not v["within"]]
-    return 1 if drifted else 0
 
 
 def _cmd_obs_top(args: argparse.Namespace) -> int:
@@ -1139,92 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
     cpath.add_argument("--problem", default=None)
     cpath.add_argument("--out", default=None)
     cpath.set_defaults(fn=_cmd_obs_critical_path)
-
-    plan = obs_sub.add_parser(
-        "plan",
-        help="predict makespan/latency/cost at any fleet size from one trace "
-        "(diagnostic only: assumes free dispatch and uncontended node seconds)",
-    )
-    plan.add_argument(
-        "trace", help="trace file from 'solve --trace' (.jsonl or Chrome JSON)"
-    )
-    plan.add_argument(
-        "--problem",
-        default=None,
-        help="saved problem .npz; supplies the hierarchy when node spans "
-        "carry no parent_nid attribute",
-    )
-    plan.add_argument(
-        "--workers",
-        default="1,2,4,8,16",
-        help="comma-separated hypothetical worker counts to simulate",
-    )
-    plan.add_argument(
-        "--trials",
-        type=int,
-        default=20,
-        help="noisy simulation trials behind each confidence interval",
-    )
-    plan.add_argument("--seed", type=int, default=0)
-    plan.add_argument(
-        "--ci",
-        type=float,
-        default=95,
-        choices=[95, 99, 99.5, 99.9],
-        help="confidence level of the reported intervals",
-    )
-    plan.add_argument(
-        "--knee",
-        type=float,
-        default=0.1,
-        help="marginal-speedup threshold below which more workers stop paying",
-    )
-    plan.add_argument(
-        "--recommend",
-        action="store_true",
-        help="print the recommended worker count as the final line "
-        "(a diagnostic, not a measured speedup)",
-    )
-    plan.add_argument(
-        "--worker-hour-cost",
-        type=float,
-        default=0.10,
-        help="dollars per worker-hour of fleet time",
-    )
-    plan.add_argument(
-        "--makespan-hour-cost",
-        type=float,
-        default=50.0,
-        help="dollars per hour of wall time waited on the result",
-    )
-    plan.add_argument(
-        "--measured",
-        action="append",
-        default=[],
-        metavar="WORKERS:TRACE",
-        help="validate the prediction at WORKERS against a trace actually "
-        "recorded at that fleet size (repeatable)",
-    )
-    plan.add_argument(
-        "--max-drift",
-        type=float,
-        default=0.30,
-        help="allowed relative prediction-vs-measured error before exit 1",
-    )
-    plan.add_argument(
-        "--no-overhead-discount",
-        action="store_true",
-        help="do not discount tracer self-cost out of the node costs",
-    )
-    plan.add_argument(
-        "--flop-rate",
-        type=float,
-        default=None,
-        help="host flop rate for the analytic Equation-1 model used to "
-        "derive the noise distribution",
-    )
-    plan.add_argument("--out", default=None, help="write the plan.json document")
-    plan.set_defaults(fn=_cmd_obs_plan)
     return parser
 
 

@@ -224,9 +224,6 @@ def drift_report(
             "predicted": float(scale * predicted[i]),
             "residual": float(measured[i] - scale * predicted[i]),
             "rel": float(abs(measured[i] - scale * predicted[i]) / measured[i]),
-            # Signed form: (measured - scaled prediction) / measured, the
-            # empirical noise distribution capacity planning resamples.
-            "rel_signed": float((measured[i] - scale * predicted[i]) / measured[i]),
         }
         for i in idx
     ]

@@ -15,10 +15,14 @@ from dataclasses import dataclass
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.update import UpdateOptions
 from repro.experiments.report import render_table
-from repro.machine import DASH, MachineConfig, simulate_solve
+from repro.machine import (
+    DASH,
+    MachineConfig,
+    dynamic_assignment_schedule,
+    simulate_solve,
+)
 from repro.molecules.problem import StructureProblem
 from repro.molecules.rna import build_helix
-from repro.parallel.dynamic import dynamic_assignment_schedule
 
 
 @dataclass(frozen=True)

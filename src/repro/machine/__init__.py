@@ -15,9 +15,12 @@ kernel-event trace of the *real* solver:
    fractions, barrier latency, remote-memory penalties for distributed
    configurations);
 3. :mod:`repro.machine.simulator` list-schedules the node tasks over the
-   processor set, honoring tree dependencies, processor exclusivity and
-   the static processor assignment, and reports the makespan plus the
-   per-category per-processor busy-time breakdown of Tables 3-6.
+   processor set under one of two policies — the paper's §4.3 static
+   processor assignment (:class:`MachineSimulator`, honoring tree
+   dependencies and processor exclusivity) or §5's dynamic wavefront
+   re-grouping (:func:`dynamic_assignment_schedule`) — and reports the
+   makespan plus the per-category per-processor busy-time breakdown of
+   Tables 3-6.
 
 Per-category sustained rates in the stock configurations were calibrated
 once against the paper's 1-processor time breakdown on the Helix problem
@@ -28,7 +31,11 @@ and then held fixed; the ribo30S problem acts as out-of-sample validation
 from repro.machine.config import CHALLENGE, DASH, MachineConfig, uniform_machine
 from repro.machine.costmodel import clusters_spanned, kernel_elapsed, node_elapsed
 from repro.machine.gantt import gantt_chart
-from repro.machine.simulator import MachineSimulator, simulate_solve
+from repro.machine.simulator import (
+    MachineSimulator,
+    dynamic_assignment_schedule,
+    simulate_solve,
+)
 from repro.machine.trace import CategoryBreakdown, NodeTimeline, SimulationResult
 
 __all__ = [
@@ -40,6 +47,7 @@ __all__ = [
     "NodeTimeline",
     "SimulationResult",
     "clusters_spanned",
+    "dynamic_assignment_schedule",
     "gantt_chart",
     "kernel_elapsed",
     "node_elapsed",

@@ -25,7 +25,6 @@ The model composes four effects:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.errors import SimulationError
 from repro.linalg.counters import KernelEvent, OpCategory
@@ -88,28 +87,3 @@ def node_elapsed(
     for e in events:
         by_cat[e.category] += kernel_elapsed(e, proc_range, cfg)
     return sum(by_cat.values()), by_cat
-
-
-# ------------------------------------------------------------- fleet pricing
-@dataclass(frozen=True)
-class FleetCostModel:
-    """Dollar-style pricing of one solve run on a hypothetical fleet.
-
-    Two rates, in the spirit of asg-sim's queue-time-vs-idle-machine
-    trade-off: every worker is billed for the whole run
-    (``worker_hour_dollars`` — machines are reserved, idle or not), and
-    the run's wall time itself carries a waiting cost
-    (``makespan_hour_dollars`` — the analyst blocked on the answer).
-    More workers shrink the makespan term while growing the fleet term,
-    which is what gives cost-vs-workers curves a genuine minimum.
-    """
-
-    worker_hour_dollars: float = 0.10
-    makespan_hour_dollars: float = 50.0
-
-    def run_cost(self, workers: int, makespan_seconds: float) -> float:
-        """Dollars to run one solve of ``makespan_seconds`` on ``workers``."""
-        if workers < 1:
-            raise SimulationError(f"fleet needs at least one worker, got {workers}")
-        hours = makespan_seconds / 3600.0
-        return workers * hours * self.worker_hour_dollars + hours * self.makespan_hour_dollars

@@ -15,11 +15,10 @@ with contextvar scopes so an uninstrumented run stays bit-identical:
   per-category summary; loaders (:func:`load_trace`) round-trip both
   formats back into a :class:`Tracer`; :mod:`repro.obs.validate` checks
   exported files against their schemas.
-* **Analytics** (:mod:`repro.obs.analysis`, :mod:`repro.obs.planner`)
-  — strictly post-hoc: critical path through the node-dependency DAG,
-  per-worker utilization/imbalance, Equation-1 drift, and capacity
-  planning (predicted makespan/latency/cost at any fleet size from one
-  trace; the ``repro obs`` CLI family).
+* **Analytics** (:mod:`repro.obs.analysis`) — strictly post-hoc:
+  critical path through the node-dependency DAG, per-worker
+  utilization/imbalance and Equation-1 drift (the ``repro obs`` CLI
+  family).
 * **Live telemetry** (:mod:`repro.obs.live`) — the while-it-runs plane:
   an always-on :class:`FlightRecorder` ring buffer dumped to JSONL on
   forensic triggers, a :class:`TelemetrySnapshotter` heartbeat exporter
@@ -90,7 +89,7 @@ from repro.obs.tracer import (
 _LAZY = {
     # Lazy: keeps ``python -m repro.obs.validate`` free of the runpy
     # double-import warning while still exporting the validate API here,
-    # and keeps the analysis/planner machinery (numpy-heavy, CLI-facing)
+    # and keeps the analysis machinery (numpy-heavy, CLI-facing)
     # out of the instrumentation import path.
     "flight_jsonl_stats": "repro.obs.validate",
     "heartbeat_jsonl_stats": "repro.obs.validate",
@@ -98,16 +97,7 @@ _LAZY = {
     "validate_chrome_trace": "repro.obs.validate",
     "validate_flight_jsonl": "repro.obs.validate",
     "validate_heartbeat_jsonl": "repro.obs.validate",
-    "validate_plan_json": "repro.obs.validate",
     "validate_spans_jsonl": "repro.obs.validate",
-    "compare_cis": "repro.obs.planner",
-    "cost_ci": "repro.obs.planner",
-    "format_plan_report": "repro.obs.planner",
-    "plan_report": "repro.obs.planner",
-    "planner_input": "repro.obs.planner",
-    "self_validation": "repro.obs.planner",
-    "simulate_schedule": "repro.obs.planner",
-    "validate_prediction": "repro.obs.planner",
     "critical_path": "repro.obs.analysis",
     "doctor_report": "repro.obs.analysis",
     "eq1_drift": "repro.obs.analysis",
@@ -138,8 +128,6 @@ __all__ = [
     "TelemetrySnapshotter",
     "Tracer",
     "chrome_trace_events",
-    "compare_cis",
-    "cost_ci",
     "critical_path",
     "current_flight_recorder",
     "current_metrics",
@@ -150,7 +138,6 @@ __all__ = [
     "flight_recording",
     "format_doctor_report",
     "format_obs_summary",
-    "format_plan_report",
     "heartbeat_jsonl_stats",
     "inc",
     "instant",
@@ -161,16 +148,12 @@ __all__ = [
     "observe_latency",
     "parse_heartbeat_spec",
     "parse_metric_key",
-    "plan_report",
-    "planner_input",
     "quantile_from_snapshot",
     "read_chrome_trace",
     "read_heartbeats",
     "read_spans_jsonl",
     "render_top",
-    "self_validation",
     "set_gauge",
-    "simulate_schedule",
     "solve_passes",
     "span",
     "trace_stats",
@@ -178,8 +161,6 @@ __all__ = [
     "validate_chrome_trace",
     "validate_flight_jsonl",
     "validate_heartbeat_jsonl",
-    "validate_plan_json",
-    "validate_prediction",
     "validate_spans_jsonl",
     "worker_utilization",
     "write_chrome_trace",

@@ -139,7 +139,7 @@ def write_chrome_trace(tracer: Tracer, path: str | Path) -> Path:
     """Write ``tracer``'s records as a Chrome trace-event JSON file.
 
     The tracer's accumulated record self-cost travels in ``otherData`` so
-    offline analysis can discount observability overhead; the export's
+    offline analysis can report observability overhead; the export's
     own wall time is then added to ``tracer.overhead_seconds`` (visible
     to metrics snapshots and any later export, not to this file).
     """

@@ -99,7 +99,7 @@ class Tracer:
         #: :func:`repro.obs.export.write_chrome_trace` /
         #: :func:`~repro.obs.export.write_spans_jsonl` — measured on the
         #: same injectable clock as the spans themselves, so analyses can
-        #: discount observability overhead from the recorded timeline.
+        #: weigh observability overhead against the recorded timeline.
         self.overhead_seconds = 0.0
         self._lock = threading.Lock()
         self._ids = itertools.count(1)

@@ -264,80 +264,6 @@ def spans_jsonl_stats(rows: list[dict]) -> dict:
     return {"lanes": len(lanes), "spans": len(span_rows), "max_depth": max_depth}
 
 
-def validate_plan_json(doc: object) -> list[str]:
-    """Schema problems for a ``repro obs plan`` document (empty = valid).
-
-    Checks the structural invariants the planner guarantees: versioned
-    top level, distinct ascending worker counts, well-ordered confidence
-    intervals, utilization in [0, 1], and every predicted makespan
-    bracketed by the critical-path lower bound and the serial upper
-    bound (the list-scheduling sanity envelope).
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict) or doc.get("plan_version") != 1:
-        return ["top level must be an object with plan_version 1"]
-    bounds = doc.get("bounds")
-    if not isinstance(bounds, dict):
-        return ["plan needs a 'bounds' object"]
-    cp = bounds.get("critical_path_seconds")
-    serial = bounds.get("serial_seconds")
-    if not isinstance(cp, (int, float)) or not isinstance(serial, (int, float)):
-        return ["bounds need numeric critical_path_seconds/serial_seconds"]
-    predictions = doc.get("predictions")
-    if not isinstance(predictions, list) or not predictions:
-        return ["plan needs a non-empty 'predictions' list"]
-    trials = doc.get("trials")
-    if not isinstance(trials, int) or trials < 1:
-        problems.append("plan needs an integer trials >= 1")
-    tol = 1e-9 + 1e-6 * max(serial, 0.0)
-    prev_workers = 0
-    for i, p in enumerate(predictions):
-        where = f"prediction {i}"
-        if not isinstance(p, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        w = p.get("workers")
-        if not isinstance(w, int) or w < 1:
-            problems.append(f"{where}: workers must be a positive integer")
-            continue
-        if w <= prev_workers:
-            problems.append(f"{where}: worker counts must be strictly increasing")
-        prev_workers = w
-        mk = p.get("makespan_seconds")
-        if not isinstance(mk, (int, float)) or mk <= 0:
-            problems.append(f"{where}: makespan_seconds must be positive")
-            continue
-        if mk < cp - tol or mk > serial + tol:
-            problems.append(
-                f"{where}: makespan {mk:.6g}s outside the "
-                f"[critical path {cp:.6g}s, serial {serial:.6g}s] envelope"
-            )
-        for key in ("makespan_ci", "cost_ci"):
-            ci = p.get(key)
-            if (
-                not isinstance(ci, list)
-                or len(ci) != 2
-                or not all(isinstance(v, (int, float)) for v in ci)
-                or ci[0] > ci[1]
-            ):
-                problems.append(f"{where}: {key} must be a [lo, hi] pair")
-        util = p.get("utilization")
-        if not isinstance(util, (int, float)) or not (0.0 <= util <= 1.0 + 1e-9):
-            problems.append(f"{where}: utilization must lie in [0, 1]")
-        cost = p.get("cost_dollars")
-        if not isinstance(cost, (int, float)) or cost < 0:
-            problems.append(f"{where}: cost_dollars must be non-negative")
-    for i, v in enumerate(doc.get("validation", [])):
-        where = f"validation {i}"
-        if not isinstance(v, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        err = v.get("rel_error")
-        if not isinstance(err, (int, float)) or err < 0:
-            problems.append(f"{where}: rel_error must be non-negative")
-    return problems
-
-
 def validate_flight_jsonl(rows: list[object]) -> list[str]:
     """Schema problems for a flight-recorder dump (empty = valid).
 
@@ -620,17 +546,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{stats['uptime_seconds']:.1f}s, {stats['series']} series"
             )
             return 0
-    if not is_jsonl and isinstance(doc, dict) and "plan_version" in doc:
-        problems = validate_plan_json(doc)
-        for problem in problems:
-            print(f"INVALID {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print(
-            f"valid plan: {len(doc['predictions'])} worker counts over "
-            f"{doc.get('trials', '?')} trials"
-        )
-        return 0
     problems = validate_spans_jsonl(rows) if is_jsonl else validate_chrome_trace(doc)
     for problem in problems:
         print(f"INVALID {problem}", file=sys.stderr)

@@ -1,15 +1,14 @@
-"""Parallel execution of the hierarchical solve.
+"""Parallel execution of the hierarchical solve: the runtime only.
 
-Two complementary runtimes live here:
-
-* **Real executors** (:mod:`repro.parallel.executors`) run independent
-  subtree solves concurrently on the host using threads (NumPy's BLAS
-  releases the GIL inside the heavy kernels) or processes (full
-  isolation, pickled estimates).  On a multi-core host this delivers
-  genuine tree-axis parallelism; correctness is identical to the serial
-  solver by construction.
-* **The simulated machine** (:mod:`repro.machine`) prices the same task
-  graph on the paper's 1996 platforms; see that package for why.
+The executors (:mod:`repro.parallel.executors`) run independent subtree
+solves concurrently on the host using threads (NumPy's BLAS releases
+the GIL inside the heavy kernels) or processes (full isolation,
+estimates in shared memory).  On a multi-core host this delivers
+genuine tree-axis parallelism; correctness is identical to the serial
+solver by construction.  Pricing the same task graph on the paper's
+1996 platforms, with the §4.3 static and §5 dynamic scheduling
+policies, is the simulator's job (:mod:`repro.machine`), and this
+package does not import it.
 
 :class:`~repro.parallel.scheduler.ParallelHierarchicalSolver` is the
 public entry point: a drop-in replacement for
@@ -27,7 +26,6 @@ from repro.parallel.executors import (
 )
 from repro.parallel.scheduler import ParallelHierarchicalSolver
 from repro.parallel.shm import EstimateHandle, SharedEstimatePlane
-from repro.parallel.dynamic import dynamic_assignment_schedule
 
 __all__ = [
     "EstimateHandle",
@@ -37,5 +35,4 @@ __all__ = [
     "SerialExecutor",
     "SharedEstimatePlane",
     "ThreadExecutor",
-    "dynamic_assignment_schedule",
 ]

@@ -362,4 +362,4 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["obs", "--help"])
         assert exc.value.code == 0
-        assert "{top,doctor,critical-path,plan}" in capsys.readouterr().out
+        assert "{top,doctor,critical-path}" in capsys.readouterr().out

@@ -43,6 +43,15 @@ def test_subpackage_imports_in_a_fresh_interpreter(name):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_parallel_runtime_does_not_import_the_simulator():
+    proc = _run_fresh(
+        "import sys, repro.parallel; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.machine')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 #: Imports each module named in argv and ``getattr``s every name in its
 #: ``__all__`` (lazy exports included); prints what failed as JSON.
 _EXPORT_PROBE = """

@@ -6,7 +6,8 @@ CLI), critical-path extraction on hand-built traces with known answers,
 per-lane utilization and imbalance attribution, Equation-1 drift
 verdicts, the doctor's cross-backend determinism guarantee (same DAG
 from serial/thread/process traces of the same problem, warm ``resolve``
-passes included), and the ``repro obs`` CLI family.
+passes included), its tracer self-cost verdict, and the ``repro obs``
+CLI family.
 """
 
 import json
@@ -95,6 +96,30 @@ def synthetic_tracer():
     _add_span(tracer, "node[2]", 4.0, 6.0, attrs=_node_attrs(2, -1),
               parent=cycle.span_id)
     return tracer
+
+
+def _serial_trace(costs, edges):
+    """One-lane trace: node spans tiled back to back inside one cycle.
+
+    Node attrs carry only nid/parent_nid (no Equation-1 attributes).
+    """
+    tracer = Tracer()
+    total = sum(costs.values())
+    cycle = _add_span(tracer, "cycle", 0.0, total, attrs={"cycle": 0})
+    t = 0.0
+    for nid in sorted(costs):
+        _add_span(
+            tracer, f"node[{nid}]", t, t + costs[nid],
+            attrs={"nid": nid, "parent_nid": edges.get(nid, -1)},
+            parent=cycle.span_id,
+        )
+        t += costs[nid]
+    return tracer
+
+
+# perfect binary tree, 7 unit-cost nodes: leaves 3..6, mids 1..2, root 0
+TREE_COSTS = {nid: 1.0 for nid in range(7)}
+TREE_EDGES = {3: 1, 4: 1, 5: 2, 6: 2, 1: 0, 2: 0, 0: -1}
 
 
 class TestLoaders:
@@ -446,6 +471,15 @@ class TestDoctorAcrossBackends:
         assert heavy["measured_seconds"] > 0.0
         # Equation-1 attrs are on the spans, so a prediction is attached
         assert heavy["predicted_seconds"] is None or heavy["predicted_seconds"] > 0.0
+
+
+class TestTracerSelfCost:
+    def test_doctor_surfaces_self_cost(self):
+        trace = _serial_trace(TREE_COSTS, TREE_EDGES)
+        trace.overhead_seconds = 0.5
+        report = obs.doctor_report(trace)
+        assert report["obs_overhead_seconds"] == 0.5
+        assert any("tracer self-cost" in v for v in report["verdicts"])
 
 
 class TestObsCLI:

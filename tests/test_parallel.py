@@ -12,7 +12,7 @@ from repro.parallel import (
     SerialExecutor,
     ThreadExecutor,
 )
-from repro.parallel.dynamic import _largest_remainder, dynamic_assignment_schedule
+from repro.machine.simulator import _largest_remainder, dynamic_assignment_schedule
 
 
 class TestExecutors:
