@@ -184,99 +184,6 @@ def _report_flight_dumps(recorder) -> None:
         print(f"wrote flight dump to {path}")
 
 
-def _cmd_session_solve(args: argparse.Namespace, problem) -> int:
-    """``solve --session-dir``: bootstrap a warm re-solve session."""
-    import contextlib
-
-    from repro import io as rio
-    from repro import obs
-    from repro.core.session import SolveSession
-    from repro.core.update import UpdateOptions
-    from repro.faults import FaultConfig, FaultInjector, fault_injection
-
-    if args.anneal:
-        raise SystemExit("--session-dir does not support --anneal "
-                         "(cached posteriors need a constant noise scale)")
-    if args.checkpoint_dir:
-        raise SystemExit("--session-dir and --checkpoint-dir are exclusive; "
-                         "sessions persist through the session directory")
-    injector = None
-    fault_scope = contextlib.nullcontext()
-    if args.faults:
-        try:
-            injector = FaultInjector(FaultConfig.parse(args.faults))
-        except ValueError as exc:
-            raise SystemExit(f"--faults: {exc}") from exc
-        fault_scope = fault_injection(injector)
-    tracer = obs.Tracer() if args.trace else None
-    registry = (
-        obs.MetricsRegistry()
-        if (args.metrics_out or args.heartbeat)
-        else None
-    )
-    executor = _make_executor(args.backend, args.workers)
-    try:
-        with contextlib.ExitStack() as stack:
-            stack.enter_context(fault_scope)
-            if registry is not None:
-                stack.enter_context(obs.metrics_scope(registry))
-            recorder = _enter_live_plane(
-                stack, args, tracer=tracer, registry=registry
-            )
-            if tracer is not None:
-                stack.enter_context(obs.tracing(tracer))
-            session = stack.enter_context(
-                SolveSession(
-                    problem.hierarchy,
-                    problem.constraints,
-                    batch_size=args.batch,
-                    options=UpdateOptions(
-                        local_iterations=args.local_iterations,
-                        max_retries=args.max_retries,
-                        kernel_impl=args.kernel_impl,
-                        schedule=_parse_batch_anneal(args.batch_anneal),
-                    ),
-                    executor=executor,
-                    store=args.session_dir,
-                )
-            )
-            report = session.solve(
-                problem.initial_estimate(args.seed),
-                max_cycles=args.cycles,
-                tol=args.tol,
-            )
-            print(
-                f"{'converged' if report.converged else 'stopped'} after "
-                f"{report.cycles} cycles (last delta {report.deltas[-1]:.3g})"
-            )
-            print(f"session saved to {args.session_dir} "
-                  f"({len(problem.hierarchy.nodes)} cached node posteriors)")
-            if args.out:
-                rio.save_estimate(args.out, report.estimate)
-                print(f"wrote estimate to {args.out}")
-    finally:
-        if executor is not None:
-            executor.close()
-    if injector is not None:
-        injected = {
-            ch: c["injected"] for ch, c in injector.summary().items() if c["injected"]
-        }
-        print(f"injected faults: {injected if injected else 'none'}")
-    if args.trace and tracer is not None:
-        if str(args.trace).endswith(".jsonl"):
-            obs.write_spans_jsonl(tracer, args.trace)
-        else:
-            obs.write_chrome_trace(tracer, args.trace)
-        print(f"wrote trace to {args.trace}")
-    if args.metrics_out and registry is not None:
-        obs.write_metrics_json(
-            registry, args.metrics_out, extra={"problem": problem.name}
-        )
-        print(f"wrote metrics to {args.metrics_out}")
-    _report_flight_dumps(recorder)
-    return 0
-
-
 def _cmd_resolve(args: argparse.Namespace) -> int:
     """Warm incremental re-solve against a saved session directory."""
     import contextlib
@@ -295,6 +202,12 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             recorder = _enter_live_plane(stack, args, registry=registry)
             session = SolveSession.load(args.session_dir, executor=executor)
             stack.callback(session.close)
+            if session.unfinished_cycle is not None:
+                raise SystemExit(
+                    f"{args.session_dir} holds a solve interrupted in cycle "
+                    f"{session.unfinished_cycle}; re-run its 'repro solve' "
+                    "command to finish it first"
+                )
             if session.dirty_nids:
                 print(
                     f"resuming interrupted re-solve: "
@@ -325,33 +238,80 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_session(args, problem, options, initial, executor):
+    """The session a durable (``--session-dir``) or parallel solve runs on.
+
+    A directory that records an unfinished solve of this very problem —
+    the same constraints in order, hierarchy, batch size, update options
+    and initial estimate — is resumed; any other run in it is discarded.
+    """
+    from repro.core.estimator import build_hierarchy
+    from repro.core.session import SolveSession
+    from repro.errors import CheckpointError
+    from repro.faults import SessionStore
+
+    hierarchy = (
+        problem.hierarchy
+        if args.decomposition == "saved"
+        else build_hierarchy(args.decomposition, problem.constraints, initial.coords)
+    )
+    if args.session_dir and SessionStore(args.session_dir).has_manifest():
+        try:
+            old = SolveSession.load(args.session_dir, executor=executor)
+        except CheckpointError as exc:
+            print(f"discarded the previous run in {args.session_dir}: {exc}")
+        else:
+            if old.resumes(
+                hierarchy,
+                problem.constraints,
+                batch_size=args.batch,
+                options=options,
+                initial=initial,
+            ):
+                total = len(old.hierarchy.nodes)
+                print(
+                    f"resuming interrupted solve at cycle {old.unfinished_cycle} "
+                    f"({total - len(old.dirty_nids)}/{total} nodes done)"
+                )
+                return old
+            old.close()
+            print(f"discarded the previous run in {args.session_dir}")
+    return SolveSession(
+        hierarchy,
+        problem.constraints,
+        batch_size=args.batch,
+        options=options,
+        executor=executor,
+        store=args.session_dir,
+    )
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     import contextlib
 
     from repro import io as rio
     from repro import obs
-    from repro.core.estimator import StructureEstimator
+    from repro.core.estimator import Solution, StructureEstimator
     from repro.core.update import UpdateOptions
+    from repro.errors import WorkerCrashError
     from repro.faults import FaultConfig, FaultInjector, fault_injection
 
     problem = rio.load_problem(args.problem)
-    if args.session_dir:
-        return _cmd_session_solve(args, problem)
-    decomposition = (
-        problem.hierarchy if args.decomposition == "saved" else args.decomposition
-    )
-    estimator = StructureEstimator(
-        problem.n_atoms,
-        problem.constraints,
-        decomposition=decomposition,
-        batch_size=args.batch,
-        options=UpdateOptions(
-            local_iterations=args.local_iterations,
-            max_retries=args.max_retries,
-            kernel_impl=args.kernel_impl,
-            schedule=_parse_batch_anneal(args.batch_anneal),
-        ),
-        checkpoint_dir=args.checkpoint_dir,
+    # Durable and parallel solves run on a SolveSession, whose cached
+    # posteriors need a hierarchy and a constant noise scale.
+    on_session = bool(args.session_dir) or args.backend != "serial"
+    if on_session and args.anneal:
+        raise SystemExit("--session-dir and a parallel --backend do not support "
+                         "--anneal (cached posteriors need a constant noise "
+                         "scale; --batch-anneal composes)")
+    if on_session and args.decomposition == "flat":
+        raise SystemExit("--session-dir and a parallel --backend need a "
+                         "hierarchy; --decomposition flat has none")
+    options = UpdateOptions(
+        local_iterations=args.local_iterations,
+        max_retries=args.max_retries,
+        kernel_impl=args.kernel_impl,
+        schedule=_parse_batch_anneal(args.batch_anneal),
     )
     initial = problem.initial_estimate(args.seed)
     injector = None
@@ -368,26 +328,62 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if (args.metrics_out or args.obs_summary or args.heartbeat)
         else None
     )
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(scope)
-        # Metrics outside tracing: the tracing() exit publishes the
-        # tracer's self-cost gauge into the still-active metrics scope.
-        if registry is not None:
-            stack.enter_context(obs.metrics_scope(registry))
-        recorder = _enter_live_plane(stack, args, tracer=tracer, registry=registry)
-        if tracer is not None:
-            stack.enter_context(obs.tracing(tracer))
-        solution = estimator.solve(
-            initial,
-            max_cycles=args.cycles,
-            tol=args.tol,
-            anneal=_parse_anneal(args.anneal),
+    executor = _make_executor(args.backend, args.workers)
+    try:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(scope)
+            # Metrics outside tracing: the tracing() exit publishes the
+            # tracer's self-cost gauge into the still-active metrics scope.
+            if registry is not None:
+                stack.enter_context(obs.metrics_scope(registry))
+            recorder = _enter_live_plane(stack, args, tracer=tracer, registry=registry)
+            if tracer is not None:
+                stack.enter_context(obs.tracing(tracer))
+            if on_session:
+                session = stack.enter_context(
+                    _open_session(args, problem, options, initial, executor)
+                )
+                report = session.solve(
+                    initial, max_cycles=args.cycles, tol=args.tol, gauge_invariant=True
+                )
+                solution = Solution(report.estimate, report)
+                n_nodes = len(session.hierarchy.nodes)
+            else:
+                estimator = StructureEstimator(
+                    problem.n_atoms,
+                    problem.constraints,
+                    decomposition=(
+                        problem.hierarchy
+                        if args.decomposition == "saved"
+                        else args.decomposition
+                    ),
+                    batch_size=args.batch,
+                    options=options,
+                )
+                solution = estimator.solve(
+                    initial,
+                    max_cycles=args.cycles,
+                    tol=args.tol,
+                    anneal=_parse_anneal(args.anneal),
+                )
+    except WorkerCrashError as exc:
+        hint = (
+            f"; re-run the same command to resume from {args.session_dir}"
+            if args.session_dir
+            else ""
         )
+        raise SystemExit(f"solve interrupted: {exc}{hint}") from exc
+    finally:
+        if executor is not None:
+            executor.close()
     report = solution.report
     print(
         f"{'converged' if report.converged else 'stopped'} after {report.cycles} "
         f"cycles (last delta {report.deltas[-1]:.3g})"
     )
+    if args.session_dir:
+        print(f"session saved to {args.session_dir} "
+              f"({n_nodes} cached node posteriors)")
     coords = solution.coords
     residuals = [float(np.abs(c.residual(coords)).mean()) for c in problem.constraints]
     print(f"mean |residual|: {float(np.mean(residuals)):.4f}")
@@ -587,7 +583,6 @@ def _cmd_obs_top(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     """Sweep seeded scenarios through the conformance harness."""
     import json
-    import time
 
     from repro.scenarios import (
         ALL_CHECKS,
@@ -615,9 +610,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         if backend not in ("thread", "process"):
             raise SystemExit(f"--backends: unknown backend {backend!r}")
         executors[backend] = _make_executor(backend, args.workers)
-    deadline = (
-        time.monotonic() + args.time_budget if args.time_budget else None
-    )
     # The sweep runs under the live plane: the flight recorder rides along
     # (the bit-identity checks must hold with it enabled) and --heartbeat
     # streams sweep-wide metrics for 'repro obs top'.
@@ -632,17 +624,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     _enter_live_plane(live, args, registry=registry)
     reports = []
     failing = []
-    ran = 0
     try:
         for seed in range(args.seed, args.seed + args.budget):
-            if deadline is not None and time.monotonic() >= deadline:
-                print(
-                    f"time budget exhausted after {ran}/{args.budget} scenarios"
-                )
-                break
             scenario = generate_scenario(seed)
             report = run_scenario(scenario, checks=checks, executors=executors)
-            ran += 1
             reports.append(report)
             spec = scenario.spec
             status = "ok  " if report.ok else "FAIL"
@@ -714,8 +699,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"{float(_np.median([m['rows_per_second'] for m in stream])):.0f} rows/s"
         )
     print(
-        f"{ran} scenarios, {len(checks)} checks each: "
-        f"{ran - len(failing)} passed, {len(failing)} failed"
+        f"{len(reports)} scenarios, {len(checks)} checks each: "
+        f"{len(reports) - len(failing)} passed, {len(failing)} failed"
     )
     if args.fail_artifact and failing:
         with open(args.fail_artifact, "w", encoding="utf-8") as fh:
@@ -726,7 +711,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         doc = {
             "seed": args.seed,
             "budget": args.budget,
-            "ran": ran,
+            "ran": len(reports),
             "checks": list(checks),
             "backends": sorted(executors) + ["serial"],
             "ok": not failing,
@@ -803,7 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
         "reference, or 'vector' (fast kernels + planned type-grouped "
         "vectorized assembly with cached sparsity plans)",
     )
-    solve.add_argument("--anneal", default=None, help="start,decay (e.g. 100,0.5)")
+    solve.add_argument(
+        "--anneal",
+        default=None,
+        help="per-cycle annealing start,decay (e.g. 100,0.5); serial solves "
+        "without --session-dir only",
+    )
     solve.add_argument(
         "--batch-anneal",
         default=None,
@@ -820,21 +810,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(channels: nan, chol, corrupt, crash, slow; see docs/robustness.md)",
     )
     solve.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="directory for per-node checkpoint/resume of the hierarchical solve",
-    )
-    solve.add_argument(
         "--session-dir",
         default=None,
-        help="bootstrap a warm re-solve session into this directory "
-        "(edit + re-solve it incrementally with 'resolve')",
+        help="make the solve durable in this directory: a killed solve "
+        "re-run with the same command resumes from its last finished node, "
+        "and 'resolve' edits and re-solves it incrementally",
     )
     solve.add_argument(
         "--backend",
         choices=["serial", "thread", "process"],
         default="serial",
-        help="session solver backend (used with --session-dir)",
+        help="solver backend; thread and process dispatch tree nodes to "
+        "--workers executors",
     )
     solve.add_argument(
         "--workers",
@@ -967,13 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--minimize",
         action="store_true",
         help="greedily shrink each failing seed's spec before reporting",
-    )
-    fuzz.add_argument(
-        "--time-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="stop starting new scenarios after this many seconds",
     )
     fuzz.add_argument(
         "--fail-artifact",

@@ -15,7 +15,6 @@ convergence loop — behind a scikit-style interface:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +30,33 @@ from repro.core.update import UpdateOptions
 from repro.errors import HierarchyError
 
 DECOMPOSITIONS = ("flat", "graph", "rcb")
+
+
+def build_hierarchy(
+    decomposition: str,
+    constraints: Sequence[Constraint],
+    coords: np.ndarray,
+    max_leaf_atoms: int = 16,
+) -> Hierarchy:
+    """An automatic decomposition of ``coords.shape[0]`` atoms.
+
+    ``"flat"`` is one monolithic node; ``"rcb"`` bisects ``coords``
+    recursively; ``"graph"`` partitions the constraint graph.
+    """
+    n_atoms = coords.shape[0]
+    if decomposition == "flat":
+        return flat_hierarchy(n_atoms)
+    if decomposition == "rcb":
+        from repro.core.decompose import recursive_coordinate_bisection
+
+        return recursive_coordinate_bisection(coords, max_leaf_atoms)
+    if decomposition == "graph":
+        from repro.core.decompose import graph_partition_hierarchy
+
+        return graph_partition_hierarchy(n_atoms, constraints, max_leaf_atoms)
+    raise HierarchyError(
+        f"unknown decomposition {decomposition!r}; choose one of {DECOMPOSITIONS}"
+    )
 
 
 @dataclass(frozen=True)
@@ -77,12 +103,9 @@ class StructureEstimator:
     options:
         Per-batch update options (Joseph form, local iterations, retry
         policy, ...).
-    checkpoint_dir:
-        Optional directory for per-node checkpoint/resume of the
-        hierarchical solve (see :mod:`repro.faults.checkpoint`).  A solve
-        killed mid-cycle and re-run against the same directory resumes
-        from its last completed post-order node.  Ignored by the flat
-        decomposition (a single monolithic node has nothing to resume).
+
+    A durable run (one that a crash can resume) goes through a
+    :class:`~repro.core.session.SolveSession` with a store instead.
     """
 
     def __init__(
@@ -93,7 +116,6 @@ class StructureEstimator:
         batch_size: int = 16,
         max_leaf_atoms: int = 16,
         options: UpdateOptions = UpdateOptions(),
-        checkpoint_dir: str | Path | None = None,
     ):
         if n_atoms < 1:
             raise HierarchyError("need at least one atom")
@@ -107,7 +129,6 @@ class StructureEstimator:
         self.batch_size = int(batch_size)
         self.max_leaf_atoms = int(max_leaf_atoms)
         self.options = options
-        self.checkpoint_dir = checkpoint_dir
         self._decomposition = decomposition
         self.hierarchy: Hierarchy | None = (
             decomposition if isinstance(decomposition, Hierarchy) else None
@@ -115,21 +136,9 @@ class StructureEstimator:
 
     # ------------------------------------------------------------- set-up
     def _ensure_hierarchy(self, coords: np.ndarray) -> Hierarchy:
-        if self.hierarchy is not None:
-            return self.hierarchy
-        if self._decomposition == "flat":
-            self.hierarchy = flat_hierarchy(self.n_atoms)
-        elif self._decomposition == "rcb":
-            from repro.core.decompose import recursive_coordinate_bisection
-
-            self.hierarchy = recursive_coordinate_bisection(
-                coords, self.max_leaf_atoms
-            )
-        else:  # "graph"
-            from repro.core.decompose import graph_partition_hierarchy
-
-            self.hierarchy = graph_partition_hierarchy(
-                self.n_atoms, self.constraints, self.max_leaf_atoms
+        if self.hierarchy is None:
+            self.hierarchy = build_hierarchy(
+                self._decomposition, self.constraints, coords, self.max_leaf_atoms
             )
         return self.hierarchy
 
@@ -166,14 +175,7 @@ class StructureEstimator:
             solver = FlatSolver(self.constraints, self.batch_size, self.options)
         else:
             assign_constraints(hierarchy, self.constraints)
-            checkpoint = None
-            if self.checkpoint_dir is not None:
-                from repro.faults.checkpoint import CheckpointManager
-
-                checkpoint = CheckpointManager(self.checkpoint_dir)
-            solver = HierarchicalSolver(
-                hierarchy, self.batch_size, self.options, checkpoint=checkpoint
-            )
+            solver = HierarchicalSolver(hierarchy, self.batch_size, self.options)
         decomposition = (
             self._decomposition
             if isinstance(self._decomposition, str)

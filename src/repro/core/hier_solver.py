@@ -10,14 +10,14 @@ Each node's kernel events are tagged with the node id, producing the
 per-node work profile the machine simulator and the processor-assignment
 heuristic consume.
 
-Robustness (see ``docs/robustness.md``): the solver optionally writes a
-per-node checkpoint after every completed post-order node, so a killed
-cycle resumes from its last completed node; batches whose updates fail
+Robustness (see ``docs/robustness.md``): batches whose updates fail
 terminally (after the escalating-regularization retries inside
 :func:`repro.core.update.apply_batch`) are quarantined and reported
-instead of aborting the solve; and injected node crashes are absorbed by
+instead of aborting the solve, and injected node crashes are absorbed by
 a bounded node-level restart, modeling a supervisor restarting a dead
-subtree worker.
+subtree worker.  Durable runs stream every completed node through a
+:class:`~repro.core.session.SolveSession` store (the ``cache`` of
+:meth:`HierarchicalSolver.run_cycle`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.util.timer import Timer
 
 if TYPE_CHECKING:
     from repro.core.session import NodeCacheProtocol
-    from repro.faults.checkpoint import CheckpointManager
 
 
 @dataclass
@@ -76,8 +75,6 @@ class HierCycleResult:
     n_constraint_rows: int
     quarantined: tuple[QuarantineRecord, ...] = ()
     retries: tuple[RetryReport, ...] = ()
-    nodes_resumed: int = 0
-    replayed: bool = False
 
     @property
     def seconds_per_constraint(self) -> float:
@@ -120,12 +117,6 @@ class HierarchicalSolver:
         Scalar rows per observation vector at every node.
     options:
         Per-batch update options.
-    checkpoint:
-        Optional :class:`~repro.faults.CheckpointManager`.  When given,
-        every completed node of the running cycle and the output of every
-        completed cycle are persisted; re-running the solve against the
-        same directory resumes from the last completed post-order node
-        with bitwise-identical results.
     node_crash_attempts:
         How many times a node is (re)started when a crash fault surfaces
         inside it before the crash propagates (models supervisor
@@ -137,27 +128,14 @@ class HierarchicalSolver:
         hierarchy: Hierarchy,
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
-        checkpoint: "CheckpointManager | None" = None,
         node_crash_attempts: int = 3,
     ):
         self.hierarchy = hierarchy
         self.batch_size = int(batch_size)
         self.options = options
-        self.checkpoint = checkpoint
         self.node_crash_attempts = max(1, int(node_crash_attempts))
         self.n_constraint_rows = sum(n.n_constraint_rows for n in hierarchy.nodes)
         self._cycle_index = 0
-        if checkpoint is not None:
-            from repro.io import assigned_constraints_token
-
-            # Cached node/cycle estimates are only valid for the exact
-            # constraint set that produced them; binding with the set's
-            # fingerprint makes an edited re-run discard them instead of
-            # replaying stale results (see CheckpointManager.bind).
-            checkpoint.bind(
-                hierarchy.n_atoms,
-                constraints_token=assigned_constraints_token(hierarchy),
-            )
 
     # ------------------------------------------------------------- solve
     def run_cycle(
@@ -180,9 +158,7 @@ class HierarchicalSolver:
         instead of being recomputed.  ``cache`` (an object with
         ``load(nid)`` / ``store(nid, estimate)``) also receives every
         posterior this pass computes, which is how a session keeps its
-        warm state current.  Restricted passes are the session's domain:
-        they cannot be combined with the solver-level ``checkpoint``
-        (sessions persist through their own :class:`SessionStore`).
+        warm state current (and streams it to its store).
 
         The cycle never writes ``estimate``: leaves take their block
         through :meth:`StructureEstimate.extract_atoms`, which copies, and
@@ -195,25 +171,9 @@ class HierarchicalSolver:
                 f"estimate covers {estimate.n_atoms} atoms, hierarchy expects "
                 f"{self.hierarchy.n_atoms}"
             )
-        if dirty is not None and self.checkpoint is not None:
-            raise HierarchyError(
-                "dirty-restricted cycles are incompatible with the per-node "
-                "checkpoint; use a SolveSession with a SessionStore instead"
-            )
         if dirty is not None and cache is None and len(dirty) < len(self.hierarchy.nodes):
             raise HierarchyError("a dirty-restricted cycle needs a posterior cache")
         cycle = self._cycle_index
-        ck = self.checkpoint
-        if ck is not None:
-            cached = ck.completed_cycle_estimate(cycle)
-            if cached is not None:
-                # This cycle already ran to completion in a previous
-                # (interrupted) solve; replay its stored output verbatim.
-                self._cycle_index += 1
-                return HierCycleResult(
-                    cached, 0.0, Recorder(), [], self.n_constraint_rows, replayed=True
-                )
-            ck.start_cycle(cycle)
         opts = options if options is not None else self.options
         outer = current_recorder()
         rec = outer if outer is not None else Recorder()
@@ -221,7 +181,6 @@ class HierarchicalSolver:
         node_results: dict[int, StructureEstimate] = {}
         quarantined: list[QuarantineRecord] = []
         retries: list[RetryReport] = []
-        resumed = 0
         total_timer = Timer()
         with obs.span(
             "cycle",
@@ -238,27 +197,15 @@ class HierarchicalSolver:
                 for node in self.hierarchy.post_order():
                     if dirty is not None and node.nid not in dirty:
                         continue
-                    if ck is not None and ck.has_node(node.nid):
-                        # Discard the children consumed by the original run
-                        # of this node, mirroring the memory behaviour.
-                        for child in node.children:
-                            node_results.pop(child.nid, None)
-                        node_results[node.nid] = ck.load_node(node.nid)
-                        resumed += 1
-                        continue
                     node_results[node.nid] = self._solve_node(
                         node, estimate, node_results, rec, records, opts,
                         quarantined, retries, cache=cache,
                     )
-                    if ck is not None:
-                        ck.save_node(node.nid, node_results[node.nid])
                     if cache is not None:
                         cache.store(node.nid, node_results[node.nid])
         obs.inc("solve.cycles")
         obs.observe_latency("cycle.seconds", total_timer.elapsed)
         final = cycle_output(self.hierarchy, estimate, node_results, cache)
-        if ck is not None:
-            ck.finish_cycle(cycle, final)
         self._cycle_index += 1
         return HierCycleResult(
             final,
@@ -268,7 +215,6 @@ class HierarchicalSolver:
             self.n_constraint_rows,
             quarantined=tuple(quarantined),
             retries=tuple(retries),
-            nodes_resumed=resumed,
         )
 
     def _solve_node(

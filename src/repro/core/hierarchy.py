@@ -114,6 +114,27 @@ class Hierarchy:
     def height(self) -> int:
         return max(n.depth for n in self.nodes)
 
+    def heights(self) -> dict[int, int]:
+        """Node id → height (longest path down to a leaf; leaves are 0)."""
+        height: dict[int, int] = {}
+        for node in self.post_order():
+            height[node.nid] = (
+                0 if node.is_leaf else 1 + max(height[c.nid] for c in node.children)
+            )
+        return height
+
+    def wavefronts(self) -> list[list[HierarchyNode]]:
+        """Nodes grouped by height, leaves first, post order within a group.
+
+        No node shares a group with one of its ancestors, so each group
+        is a set of mutually independent tasks.
+        """
+        height = self.heights()
+        fronts: list[list[HierarchyNode]] = [[] for _ in range(max(height.values()) + 1)]
+        for node in self.post_order():
+            fronts[height[node.nid]].append(node)
+        return fronts
+
     # --------------------------------------------------------- validation
     def validate(self) -> None:
         """Check tree invariants; raise :class:`HierarchyError` on violation."""

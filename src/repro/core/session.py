@@ -36,16 +36,25 @@ Caching planes
 
 Persistence
 -----------
-With a :class:`~repro.faults.SessionStore`, the session snapshots its
-manifest before each re-solve and streams recomputed node posteriors
-during it, so a killed warm re-solve resumed via :meth:`SolveSession.load`
-redoes only the dirty nodes that had not yet completed — and can never
-replay a stale posterior for a node whose constraints changed, because
-such a node's generation tag still predates the staged re-solve.
+With a :class:`~repro.faults.SessionStore` every pass — each cold cycle
+of :meth:`SolveSession.solve` and each :meth:`SolveSession.resolve` —
+follows one staging rule: bump the generation, write the manifest that
+stages the pass's nodes at it (a cold cycle first writes its cycle
+input, named by that generation, and records the solve's progress), then
+stream every completed node's posterior tagged with the generation.  A
+session killed anywhere and reloaded via :meth:`SolveSession.load`
+therefore redoes only the staged nodes whose archive does not carry the
+staged generation: a killed cold solve continues from its last finished
+node (:meth:`SolveSession.solve` on the loaded session), a killed
+re-solve from its last finished dirty node.  No node whose constraints
+changed can be replayed stale, because its archive predates the staged
+pass.  Without a store a pass does no extra work.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 from bisect import insort
 from dataclasses import dataclass
@@ -59,7 +68,7 @@ from repro.constraints.base import Constraint
 from repro.core.hier_solver import HierarchicalSolver, NodeSolveRecord
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions
+from repro.core.update import AnnealSchedule, UpdateOptions
 from repro.errors import HierarchyError, SessionError
 from repro.util.timer import Timer
 
@@ -173,8 +182,9 @@ class SolveSession:
         pinned on it across re-solves.
     store:
         Optional :class:`~repro.faults.SessionStore` (or directory path)
-        for crash-resumable persistence.  A fresh session *clears* any
-        prior contents of the directory; use :meth:`SolveSession.load`
+        that makes the session durable: a killed cold solve or re-solve
+        resumes from its last finished node.  A fresh session *clears*
+        any prior contents of the directory; use :meth:`SolveSession.load`
         to resume one instead.
     session_id / labels:
         Metric identity.  ``session_id`` defaults to a process-unique
@@ -226,11 +236,12 @@ class SolveSession:
         self._node_cids: dict[int, list[int]] = {}
         self._next_cid = 0
         self._dirty: set[int] = set()
-        self._node_generation: dict[int, int] = {}
         self._cycle_input: StructureEstimate | None = None
+        self._input_generation: int | None = None
         self._last_estimate: StructureEstimate | None = None
-        self._streaming = False
-        self._staged_snapshot: list[int] | None = None
+        # An unfinished cold solve's progress: its cycle, the deltas of
+        # the cycles before it, and the fingerprint of its initial estimate.
+        self._progress: dict | None = None
         self.generation = 0
         self._leaf_of = hierarchy.atom_leaf_map()
         hierarchy.clear_constraints()
@@ -291,6 +302,22 @@ class SolveSession:
         """Latest solved estimate (``None`` before the bootstrap)."""
         return self._last_estimate
 
+    @property
+    def unfinished_cycle(self) -> int | None:
+        """The cycle an interrupted cold solve stopped in (``None``: none).
+
+        :meth:`solve` continues it; :meth:`resolve` and constraint edits
+        are refused until it has.
+        """
+        return None if self._progress is None else self._progress["cycle"]
+
+    def _refuse_if_unfinished(self, action: str) -> None:
+        if self._progress is not None:
+            raise SessionError(
+                f"cannot {action}: the cold solve stopped in cycle "
+                f"{self._progress['cycle']}; call solve() to finish it"
+            )
+
     def owner_of(self, cid: int) -> int:
         """Owner node id of constraint ``cid``."""
         return self._owner[cid]
@@ -327,6 +354,7 @@ class SolveSession:
 
     def add_constraints(self, constraints: Sequence[Constraint]) -> list[int]:
         """Append constraints; returns their ids.  Marks the dirty paths."""
+        self._refuse_if_unfinished("edit constraints")
         cids: list[int] = []
         seeds: list[int] = []
         for c in constraints:
@@ -346,6 +374,7 @@ class SolveSession:
 
     def remove_constraints(self, cids: Iterable[int]) -> None:
         """Drop constraints by id.  Marks the dirty paths."""
+        self._refuse_if_unfinished("edit constraints")
         seeds: list[int] = []
         for cid in cids:
             if cid not in self._constraints:
@@ -365,6 +394,7 @@ class SolveSession:
         global order; if its atoms move it to a different owner node,
         both the old and the new owner's paths go dirty.
         """
+        self._refuse_if_unfinished("edit constraints")
         seeds: list[int] = []
         for cid, c in changes.items():
             if cid not in self._constraints:
@@ -395,6 +425,39 @@ class SolveSession:
             self._plane.generation = self.generation
         return self.generation
 
+    def _stage(
+        self,
+        nids: Iterable[int],
+        start: StructureEstimate | None = None,
+        progress: dict | None = None,
+    ) -> None:
+        """Stage the coming pass, which recomputes ``nids``, at the current generation.
+
+        ``start`` is a cold cycle's new input and ``progress`` its
+        solve's record.  The store is written first — the new cycle input
+        under this generation, then the manifest that names it — so a
+        kill between any two writes leaves a manifest that matches the
+        files it names.  Only then does the session's own state move on
+        to the pass: ``nids`` become the dirty set, from which each node
+        leaves as it is cached (:meth:`_note_cached`).
+        """
+        staged = sorted(nids)
+        if self.store is not None:
+            input_generation = self._input_generation
+            if start is not None:
+                input_generation = self.generation
+                self.store.save_cycle_input(start, input_generation)
+            self.store.save_manifest(
+                self._manifest(staged, progress, input_generation)
+            )
+            if start is not None:
+                self.store.prune_cycle_inputs(keep=input_generation)
+        if start is not None:
+            self._cycle_input = start
+            self._input_generation = self.generation
+        self._progress = progress
+        self._dirty = set(staged)
+
     def solve(
         self,
         initial: StructureEstimate,
@@ -410,6 +473,12 @@ class SolveSession:
         holds the final cycle's per-node posteriors plus that cycle's
         input estimate, and every subsequent delta re-solves warm.
 
+        On a session whose store recorded an unfinished solve (see
+        :meth:`load`), the call continues that solve instead: it finishes
+        the interrupted cycle's unfinished nodes, then runs the cycles
+        left up to ``max_cycles``.  ``initial`` must be the estimate the
+        interrupted solve started from.
+
         Returns a :class:`~repro.core.convergence.ConvergenceReport`.
         """
         from repro.core.convergence import ConvergenceReport
@@ -419,25 +488,55 @@ class SolveSession:
                 f"estimate covers {initial.n_atoms} atoms, hierarchy expects "
                 f"{self.hierarchy.n_atoms}"
             )
-        # The session's one copy of the caller's covariance, so it never
-        # aliases an array the caller owns.
-        prior_cov = initial.covariance.copy()
-        current = initial
-        deltas: list[float] = []
+        resumed = self._progress if self.store is not None else None
+        if resumed is None:
+            origin = _fingerprint(initial) if self.store is not None else None
+            # The session's one copy of the caller's covariance, so it never
+            # aliases an array the caller owns.
+            prior_cov = initial.covariance.copy()
+            current = initial
+            deltas: list[float] = []
+            first = 1
+        else:
+            origin = resumed["initial"]
+            if _fingerprint(initial) != origin:
+                raise SessionError(
+                    "the interrupted solve started from a different initial estimate"
+                )
+            # The interrupted cycle's input holds the prior covariance and,
+            # as its mean, the output of the cycle before it.
+            current = self._cycle_input
+            prior_cov = current.covariance
+            deltas = list(resumed["deltas"])
+            first = resumed["cycle"]
+        all_nids = [n.nid for n in self.hierarchy.nodes]
+        quarantine: list = []
+        retries: list = []
         converged = False
-        cycle_input: StructureEstimate | None = None
         with obs.span(
             "session.solve",
             cat="session",
             nodes=len(self.hierarchy.nodes),
             constraints=len(self._constraints),
         ):
-            for _cycle in range(1, max_cycles + 1):
-                # The solver never writes its input, so every cycle shares
-                # the session's one copy of the prior covariance.
-                start = StructureEstimate(current.mean.copy(), prior_cov)
+            for cycle in range(first, max(first, max_cycles) + 1):
+                progress = {"cycle": cycle, "deltas": list(deltas), "initial": origin}
                 self._bump_generation()
-                result = self.solver.run_cycle(start, dirty=None, cache=self.cache)
+                if resumed is not None and cycle == first:
+                    # Finish the interrupted cycle: a dirty pass over its
+                    # unfinished nodes equals the full pass (warm ≡ cold).
+                    start = self._cycle_input
+                    dirty = frozenset(self._dirty)
+                    self._stage(dirty, progress=progress)
+                else:
+                    # The solver never writes its input, so every cycle shares
+                    # the session's one copy of the prior covariance.
+                    start = StructureEstimate(current.mean.copy(), prior_cov)
+                    dirty = None
+                    self._stage(all_nids, start=start, progress=progress)
+                result = self.solver.run_cycle(start, dirty=dirty, cache=self.cache)
+                quarantine.extend(result.quarantined)
+                retries.extend(result.retries)
                 nxt = result.estimate
                 if gauge_invariant:
                     from repro.molecules.superpose import superposed_rmsd
@@ -447,19 +546,24 @@ class SolveSession:
                     diff = nxt.mean - current.mean
                     delta = float(np.sqrt(diff @ diff / max(1, nxt.n_atoms)))
                 deltas.append(delta)
-                cycle_input = start
                 current = nxt
                 if delta <= tol:
                     converged = True
                     break
-        self._cycle_input = cycle_input
+        self._progress = None
         self._last_estimate = current
-        self._dirty.clear()
+        if self.store is not None:
+            # The last cycle streamed every node; record that no solve is
+            # unfinished.
+            self.store.save_manifest(
+                self._manifest(None, None, self._input_generation)
+            )
         obs.inc("session.solves")
         obs.inc("session.solves", labels=self.labels)
-        if self.store is not None:
-            self._persist_all()
-        return ConvergenceReport(current, len(deltas), deltas, converged=converged)
+        report = ConvergenceReport(current, len(deltas), deltas, converged=converged)
+        report.quarantine = quarantine
+        report.retries = retries
+        return report
 
     def resolve(self, scope: str = "dirty") -> SessionResolveResult:
         """Re-solve the staged dirty path from the warm start.
@@ -470,6 +574,7 @@ class SolveSession:
         Either way the session's cache is updated and the dirty set
         cleared, so consecutive deltas compose.
         """
+        self._refuse_if_unfinished("resolve")
         if self._cycle_input is None:
             raise SessionError(
                 "session has no warm state; run solve() before resolve()"
@@ -496,23 +601,15 @@ class SolveSession:
             dirty=len(dirty),
             clean=len(self.hierarchy.nodes) - len(dirty),
         ), timer:
-            if self.store is not None:
-                # Stage the re-solve before touching anything: a crash
-                # from here on resumes against this manifest, redoing
-                # only dirty nodes not yet carrying generation ``gen``.
-                self._persist_manifest(staged=sorted(dirty))
-                self._streaming = True
-            try:
-                # Passed uncopied: the solver never writes its input.
-                result = self.solver.run_cycle(
-                    self._cycle_input, dirty=dirty, cache=self.cache
-                )
-            finally:
-                self._streaming = False
-        self._dirty.clear()
+            # Stage the re-solve before touching anything: a crash from
+            # here on resumes against this manifest, redoing only dirty
+            # nodes not yet carrying generation ``gen``.
+            self._stage(dirty)
+            # Passed uncopied: the solver never writes its input.
+            result = self.solver.run_cycle(
+                self._cycle_input, dirty=dirty, cache=self.cache
+            )
         self._last_estimate = result.estimate
-        if self.store is not None:
-            self._persist_manifest(staged=None)
         obs.inc("session.resolves")
         obs.inc("session.resolves", labels=self.labels)
         obs.inc("session.dirty_nodes", len(dirty))
@@ -530,19 +627,27 @@ class SolveSession:
 
     # --------------------------------------------------------- persistence
     def _note_cached(self, nid: int) -> None:
-        """Bookkeeping for every posterior a pass commits to the cache."""
-        self._node_generation[nid] = self.generation
-        if self.store is not None and self._streaming:
-            self.store.save_node(nid, self.cache.load(nid))
-            self._persist_manifest(staged=self._staged_snapshot)
+        """Bookkeeping for every posterior a pass commits to the cache.
 
-    def _manifest_dict(self, staged) -> dict:
+        With a store the posterior is streamed, tagged with the pass's
+        generation, before the node counts as done.
+        """
+        if self.store is not None:
+            self.store.save_node(nid, self.cache.load(nid), self.generation)
+        self._dirty.discard(nid)
+
+    def _manifest(
+        self,
+        staged: list[int] | None,
+        progress: dict | None,
+        input_generation: int | None,
+    ) -> dict:
         from repro.io import _encode_hierarchy, encode_constraint
 
         return {
             "n_atoms": self.hierarchy.n_atoms,
             "batch_size": self.batch_size,
-            "kernel_impl": self.options.kernel_impl,
+            "options": dataclasses.asdict(self.options),
             "hierarchy": _encode_hierarchy(self.hierarchy.root),
             "constraints": [
                 [cid, self._owner[cid], encode_constraint(c)]
@@ -550,36 +655,43 @@ class SolveSession:
             ],
             "next_cid": self._next_cid,
             "generation": self.generation,
-            "node_generations": {
-                str(nid): gen for nid, gen in self._node_generation.items()
-            },
+            "cycle_input": input_generation,
             "staged": staged,
+            "solve": progress,
         }
 
-    def _persist_manifest(self, staged: list[int] | None) -> None:
-        assert self.store is not None
-        if staged is not None:
-            staged_payload = {"dirty": list(staged), "generation": self.generation}
-            self._staged_snapshot = staged  # re-used by streaming saves
-        else:
-            staged_payload = None
-        self.store.save_manifest(self._manifest_dict(staged_payload))
+    def resumes(
+        self,
+        hierarchy: Hierarchy,
+        constraints: Sequence[Constraint],
+        *,
+        batch_size: int,
+        options: UpdateOptions,
+        initial: StructureEstimate,
+    ) -> bool:
+        """Whether this session holds an unfinished solve of exactly this problem.
 
-    def _persist_all(self) -> None:
-        """Full snapshot (end of a bootstrap solve)."""
-        assert self.store is not None and self._cycle_input is not None
-        self.store.save_cycle_input(self._cycle_input)
-        for node in self.hierarchy.nodes:
-            self.store.save_node(node.nid, self.cache.load(node.nid))
-        self._persist_manifest(staged=None)
+        The same constraints in the same order, the same hierarchy,
+        batch size and update options, and the same initial estimate:
+        only then may :meth:`solve` continue it.
+        """
+        from repro.io import _encode_hierarchy, encode_constraint
+
+        return (
+            self._progress is not None
+            and self.batch_size == batch_size
+            and self.options == options
+            and _encode_hierarchy(self.hierarchy.root) == _encode_hierarchy(hierarchy.root)
+            and [encode_constraint(c) for c in self._constraints.values()]
+            == [encode_constraint(c) for c in constraints]
+            and self._progress["initial"] == _fingerprint(initial)
+        )
 
     @classmethod
     def load(
         cls,
         store: "SessionStore | str | Path",
         *,
-        batch_size: int | None = None,
-        options: UpdateOptions | None = None,
         executor: "Executor | None" = None,
         shared_memory: bool | None = None,
         session_id: str | None = None,
@@ -587,33 +699,35 @@ class SolveSession:
     ) -> "SolveSession":
         """Rebuild a session from a :class:`SessionStore` directory.
 
-        ``batch_size``/``options`` default to the values recorded in the
-        manifest — warm re-solves are only exact under the solver
-        configuration that produced the cached posteriors.
+        Batch size and update options come from the manifest: warm
+        re-solves are only exact under the solver configuration that
+        produced the cached posteriors.
 
-        If the stored manifest has a *staged* re-solve (the previous
-        process died mid-:meth:`resolve`), the loaded session's dirty
-        set contains exactly the staged nodes whose recomputation had
-        not finished — calling :meth:`resolve` completes the interrupted
-        pass without redoing finished work and without ever replaying a
-        pre-edit posterior for an edited node.
+        If the manifest stages a pass that did not finish (the previous
+        process died mid-cycle or mid-:meth:`resolve`), the loaded
+        session's dirty set holds exactly the staged nodes whose archive
+        does not carry the staged generation.  The set is root-ward
+        closed, because a parent finishes only after its children.  An
+        interrupted cold solve is continued by :meth:`solve`
+        (:attr:`unfinished_cycle` names its cycle), an interrupted
+        re-solve by :meth:`resolve`; neither redoes finished work or
+        replays a pre-edit posterior for an edited node.
         """
         from repro.io import _decode_hierarchy, decode_constraint
 
         store = cls._coerce_store(store)
         assert store is not None
         manifest = store.load_manifest()
-        if batch_size is None:
-            batch_size = manifest.get("batch_size", 16)
-        if options is None:
-            options = UpdateOptions(kernel_impl=manifest.get("kernel_impl", "fast"))
+        options = dict(manifest["options"])
+        if options["schedule"] is not None:
+            options["schedule"] = AnnealSchedule(**options["schedule"])
         root = _decode_hierarchy(manifest["hierarchy"])
         hierarchy = Hierarchy(root, manifest["n_atoms"])
         session = cls(
             hierarchy,
             (),
-            batch_size=batch_size,
-            options=options,
+            batch_size=manifest["batch_size"],
+            options=UpdateOptions(**options),
             executor=executor,
             shared_memory=shared_memory,
             store=store,
@@ -629,29 +743,19 @@ class SolveSession:
             hierarchy.nodes[owner].constraints.append(c)
             session.solver.n_constraint_rows += c.dimension
         session._next_cid = manifest["next_cid"]
-        session._node_generation = {
-            int(k): v for k, v in manifest["node_generations"].items()
-        }
-        session._cycle_input = store.load_cycle_input()
-        session._last_estimate = None
-        staged = manifest.get("staged")
-        if staged is None:
-            session.generation = manifest["generation"]
-        else:
-            gen = staged["generation"]
-            # Re-enter the staged re-solve: resolve() will bump back to
-            # ``gen``; nodes already carrying it are done, the rest are
-            # the remaining dirty frontier (root-ward closed, because a
-            # parent only completes after its dirty children).
-            session.generation = gen - 1
-            session._dirty = {
-                nid
-                for nid in staged["dirty"]
-                if session._node_generation.get(nid) != gen
-            }
-            obs.inc("session.resumes")
+        session.generation = manifest["generation"]
         if session._plane is not None:
             session._plane.generation = session.generation
+        session._input_generation = manifest["cycle_input"]
+        session._cycle_input = store.load_cycle_input(session._input_generation)
+        session._progress = manifest["solve"]
+        session._dirty = {
+            nid
+            for nid in manifest["staged"] or ()
+            if store.node_generation(nid) != session.generation
+        }
+        if session._dirty or session._progress is not None:
+            obs.inc("session.resumes")
         return session
 
     # ----------------------------------------------------------- lifecycle
@@ -665,3 +769,11 @@ class SolveSession:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _fingerprint(estimate: StructureEstimate) -> str:
+    """Content digest of an estimate (a solve's initial estimate)."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(estimate.mean).data)
+    h.update(np.ascontiguousarray(estimate.covariance).data)
+    return h.hexdigest()

@@ -104,7 +104,7 @@ class BatchUpdateError(ReproError, RuntimeError):
 
 
 class CheckpointError(ReproError, RuntimeError):
-    """A checkpoint directory is missing, corrupt, or from another problem."""
+    """A session store directory is missing, corrupt, or of another version."""
 
 
 class SessionError(ReproError, RuntimeError):

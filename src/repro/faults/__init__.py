@@ -1,4 +1,4 @@
-"""Fault injection, retry, quarantine and checkpoint/resume.
+"""Fault injection, retry, quarantine and durable runs.
 
 The robustness layer of the estimator (see ``docs/robustness.md``):
 
@@ -8,11 +8,9 @@ The robustness layer of the estimator (see ``docs/robustness.md``):
 * :class:`RetryReport` / :class:`QuarantineRecord` — structured records
   of how failures were absorbed (escalating-regularization retries,
   terminally quarantined constraint batches);
-* :class:`CheckpointManager` — per-node checkpoint/resume for the
-  hierarchical solve;
-* :class:`SessionStore` — on-disk snapshots of incremental
-  :class:`~repro.core.session.SolveSession` state, so a killed warm
-  re-solve resumes warm.
+* :class:`SessionStore` — the on-disk state a
+  :class:`~repro.core.session.SolveSession` streams, so a killed cold
+  solve or warm re-solve resumes from its last finished node.
 """
 
 from repro.faults.injector import (
@@ -26,10 +24,10 @@ from repro.faults.report import QuarantineRecord, RetryAttempt, RetryReport
 
 
 def __getattr__(name: str):
-    # CheckpointManager needs repro.core.state / repro.io, which import the
+    # SessionStore needs repro.core.state / repro.io, which import the
     # kernels, which import this package's injector — load it lazily so the
     # low-level hook sites can import repro.faults.injector cycle-free.
-    if name in ("CheckpointManager", "SessionStore"):
+    if name == "SessionStore":
         from repro.faults import checkpoint
 
         return getattr(checkpoint, name)
@@ -37,7 +35,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CHANNELS",
-    "CheckpointManager",
     "FaultConfig",
     "FaultInjector",
     "QuarantineRecord",

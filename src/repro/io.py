@@ -1,10 +1,11 @@
 """Serialization of estimates and problems (NumPy ``.npz`` archives).
 
 Structure determination runs are long (the paper quotes 20-200 cycles);
-being able to checkpoint an estimate, or to ship a generated workload to
+being able to persist an estimate, or to ship a generated workload to
 another machine, is table stakes for a usable tool.  Estimates serialize
-losslessly; problems serialize their coordinates, constraint set and
-hierarchy topology.
+losslessly and uncompressed (a covariance barely compresses, and
+compressing it costs far more than writing it); problems serialize their
+coordinates, constraint set and hierarchy topology, compressed.
 
 Only the constraint types shipped with the library round-trip; custom
 subclasses would need their own registry entry in ``_CONSTRAINT_TYPES``.
@@ -12,7 +13,6 @@ subclasses would need their own registry entry in ``_CONSTRAINT_TYPES``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -36,20 +36,30 @@ class SerializationError(ReproError, ValueError):
 
 # --------------------------------------------------------------- estimates
 def save_estimate(
-    path: str | Path, estimate: StructureEstimate, atomic: bool = False
+    path: str | Path,
+    estimate: StructureEstimate,
+    atomic: bool = False,
+    generation: int | None = None,
 ) -> None:
     """Write an estimate to ``path`` (``.npz``).
 
     ``atomic=True`` writes to a temporary sibling and renames it into
     place, so a crash mid-write can never leave a truncated archive — the
-    guarantee the checkpoint/resume layer (:mod:`repro.faults.checkpoint`)
-    depends on.
+    guarantee the session store (:mod:`repro.faults.checkpoint`) depends
+    on.  ``generation`` stores an integer tag in the same archive (the
+    store's per-node record of which pass wrote it);
+    :func:`load_estimate` ignores it.
     """
     path = Path(path)
     target = path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
     write_to = target.with_name(target.name + ".tmp.npz") if atomic else target
-    np.savez_compressed(
-        write_to, mean=estimate.mean, covariance=estimate.covariance, kind="estimate"
+    tags = {} if generation is None else {"generation": np.int64(generation)}
+    np.savez(
+        write_to,
+        mean=estimate.mean,
+        covariance=estimate.covariance,
+        kind="estimate",
+        **tags,
     )
     if atomic:
         os.replace(write_to, target)
@@ -131,34 +141,6 @@ def encode_constraint(c: Constraint) -> dict:
 def decode_constraint(d: dict) -> Constraint:
     """Inverse of :func:`encode_constraint`."""
     return _decode_constraint(d)
-
-
-def constraints_token(constraints, *, nids=None) -> str:
-    """Content fingerprint of a constraint sequence (order-sensitive).
-
-    The checkpoint layer stores this token next to its cached node/cycle
-    estimates: a resumed solve whose constraint set differs from the one
-    that produced the checkpoints must not replay them (they would be
-    silently stale).  ``nids`` optionally interleaves each constraint's
-    owner node id so the token also changes when the same constraints are
-    assigned differently.
-    """
-    h = hashlib.sha256()
-    for k, c in enumerate(constraints):
-        tag = [int(nids[k]) if nids is not None else 0, _encode_constraint(c)]
-        h.update(json.dumps(tag, sort_keys=True, default=float).encode())
-    return h.hexdigest()
-
-
-def assigned_constraints_token(hierarchy) -> str:
-    """Fingerprint of a hierarchy's assigned constraint sets, in nid order."""
-    cs: list[Constraint] = []
-    nids: list[int] = []
-    for node in hierarchy.nodes:
-        for c in node.constraints:
-            cs.append(c)
-            nids.append(node.nid)
-    return constraints_token(cs, nids=nids)
 
 
 # ---------------------------------------------------------------- hierarchy

@@ -164,7 +164,7 @@ def dynamic_assignment_schedule(
     """
     ledger = _Ledger(config, records, n_processors)
     now = 0.0
-    for nodes in _wavefronts(hierarchy):
+    for nodes in hierarchy.wavefronts():
         work1 = {n.nid: _serial_seconds(ledger.events(n), config) for n in nodes}
         epoch_finish = now
         if len(nodes) <= n_processors:
@@ -186,17 +186,6 @@ def dynamic_assignment_schedule(
             epoch_finish = now + float(loads.max(initial=0.0))
         now = epoch_finish + sync_seconds
     return ledger.result(f"{config.name}+dynamic", now)
-
-
-def _wavefronts(hierarchy: Hierarchy) -> list[list[HierarchyNode]]:
-    """Nodes grouped by height (leaves first); each group is independent."""
-    height: dict[int, int] = {}
-    fronts: dict[int, list[HierarchyNode]] = {}
-    for node in hierarchy.post_order():
-        h = 0 if node.is_leaf else 1 + max(height[c.nid] for c in node.children)
-        height[node.nid] = h
-        fronts.setdefault(h, []).append(node)
-    return [fronts[h] for h in sorted(fronts)]
 
 
 def _largest_remainder(work: list[float], p: int) -> list[int]:

@@ -5,11 +5,11 @@ with contextvar scopes so an uninstrumented run stays bit-identical:
 
 * **Span tracing** (:mod:`repro.obs.tracer`) — ``with tracing(Tracer())``
   turns on span collection; the solvers, executors, kernels, fault
-  injector and checkpoint manager bracket their work in nested spans
+  injector and session store bracket their work in nested spans
   (cycle → node → batch → kernel) with structured attributes.
 * **Metrics** (:mod:`repro.obs.metrics`) — ``with metrics_scope(...)``
   collects counters/gauges/histograms (retries, quarantines, kernel
-  FLOPs, executor resubmissions, checkpoint I/O).
+  FLOPs, executor resubmissions, session store I/O).
 * **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON for
   ``chrome://tracing``/Perfetto, a flat JSONL span log, and a terminal
   per-category summary; loaders (:func:`load_trace`) round-trip both

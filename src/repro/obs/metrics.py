@@ -31,8 +31,9 @@ Metric name conventions (dot-separated, lowercase):
 ``resolve.seconds``                histogram — per-resolve wall time (same gauges)
 ``node.seconds``                   histogram — per-node-task worker seconds
 ``plan.cache_hits`` / ``.builds``  counters — vector-tier sparsity-plan reuse
-``checkpoint.nodes_saved`` /       counters — checkpoint I/O volume
-``.nodes_resumed`` / ``.cycles_replayed``
+``session.nodes_saved``            counter — node posteriors a durable session
+                                   streamed to its store
+``session.resumes``                counter — stores loaded with unfinished work
 ``faults.injected.<channel>``      counter — faults actually injected per channel
 ``obs.overhead_seconds``           gauge — tracer record self-cost
 ``obs.snapshotter_overhead_seconds``  gauge — heartbeat exporter self-cost

@@ -246,24 +246,6 @@ class ParallelHierarchicalSolver:
         self.labels = dict(labels) if labels else None
         self.n_constraint_rows = sum(n.n_constraint_rows for n in hierarchy.nodes)
 
-    # ----------------------------------------------------------- wavefronts
-    def wavefronts(self) -> list[list[HierarchyNode]]:
-        """Nodes grouped by height: index 0 = leaves, last = root."""
-        height = self.heights()
-        fronts: list[list[HierarchyNode]] = [[] for _ in range(max(height.values()) + 1)]
-        for node in self.hierarchy.post_order():
-            fronts[height[node.nid]].append(node)
-        return fronts
-
-    def heights(self) -> dict[int, int]:
-        """Node id → height (longest path to a leaf; leaves are 0)."""
-        height: dict[int, int] = {}
-        for node in self.hierarchy.post_order():
-            height[node.nid] = (
-                0 if node.is_leaf else 1 + max(height[c.nid] for c in node.children)
-            )
-        return height
-
     def _use_shared_memory(self) -> bool:
         if self.shared_memory is not None:
             return self.shared_memory
@@ -384,7 +366,7 @@ class ParallelHierarchicalSolver:
         tracer = obs.current_tracer()
         registry = obs.current_metrics()
         injector = current_injector()
-        heights = self.heights()
+        heights = self.hierarchy.heights()
         nodes = {n.nid: n for n in self.hierarchy.nodes}
         waiting = {
             n.nid: (
@@ -527,7 +509,7 @@ class ParallelHierarchicalSolver:
         """Post-hoc per-height ``wavefront[h]`` trace spans (reporting only)."""
         if tracer is None:
             return
-        fronts = self.wavefronts()
+        fronts = self.hierarchy.wavefronts()
         for h in sorted(windows):
             start, end = windows[h]
             wf = tracer.complete(

@@ -1,8 +1,8 @@
 """Deterministic failure-mode tests for the robustness layer.
 
 Covers: fault-schedule determinism, retry-backoff escalation, quarantine
-accounting, checkpoint/resume equivalence, and the enriched Cholesky
-failure diagnostics.
+accounting, crash/resume equivalence of a durable session, and the
+enriched Cholesky failure diagnostics.
 """
 
 import numpy as np
@@ -11,22 +11,23 @@ import pytest
 from repro.constraints import DistanceConstraint, PositionConstraint
 from repro.constraints.batch import ConstraintBatch
 from repro.core.hier_solver import HierarchicalSolver
+from repro.core.session import SolveSession
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batch
 from repro.errors import (
     BatchUpdateError,
-    CheckpointError,
     NotPositiveDefiniteError,
     WorkerCrashError,
 )
 from repro.faults import (
-    CheckpointManager,
     FaultConfig,
     FaultInjector,
+    SessionStore,
     current_injector,
     fault_injection,
 )
 from repro.linalg.cholesky import cholesky_factor
+from repro.molecules.rna import build_helix
 from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor, ThreadExecutor
 
 
@@ -223,9 +224,12 @@ class TestFaultedSolveCompletes:
 
 
 class TestCheckpointResume:
+    """A durable session killed by a node crash resumes bitwise."""
+
     @staticmethod
-    def _kill_after(solver, n_nodes):
-        """Make the solver die when it reaches its ``n_nodes``-th node."""
+    def _kill_after(session, n_nodes):
+        """Make the session die when it reaches its ``n_nodes``-th node."""
+        solver = session.solver
         original = solver._compute_node
         seen = {"n": 0}
 
@@ -237,24 +241,25 @@ class TestCheckpointResume:
 
         solver._compute_node = bombed
 
+    @staticmethod
+    def _killed(problem, directory, cycles, kill_after) -> SolveSession:
+        """Kill a durable solve at a node; return the session reloaded."""
+        killed = SolveSession(problem.hierarchy, problem.constraints, store=directory)
+        TestCheckpointResume._kill_after(killed, kill_after)
+        with pytest.raises(WorkerCrashError):
+            killed.solve(problem.initial_estimate(0), max_cycles=cycles, tol=0.0)
+        return SolveSession.load(directory)
+
     def test_resumed_cycle_bitwise_matches_uninterrupted(self, helix2_problem, tmp_path):
         est = helix2_problem.initial_estimate(0)
         baseline = HierarchicalSolver(helix2_problem.hierarchy, 16).run_cycle(est)
 
-        killed = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        )
-        self._kill_after(killed, 5)
-        with pytest.raises(WorkerCrashError):
-            killed.run_cycle(est)
-
-        resumed = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        )
-        res = resumed.run_cycle(est)
-        assert res.nodes_resumed == 5
-        assert np.array_equal(res.estimate.mean, baseline.estimate.mean)
-        assert np.array_equal(res.estimate.covariance, baseline.estimate.covariance)
+        resumed = self._killed(helix2_problem, tmp_path, cycles=1, kill_after=5)
+        # The five finished nodes are read back, not recomputed.
+        assert len(resumed.dirty_nids) == len(helix2_problem.hierarchy) - 5
+        report = resumed.solve(est, max_cycles=1, tol=0.0)
+        assert np.array_equal(report.estimate.mean, baseline.estimate.mean)
+        assert np.array_equal(report.estimate.covariance, baseline.estimate.covariance)
 
     def test_resumed_multicycle_solve_matches_uninterrupted(
         self, helix2_problem, tmp_path
@@ -263,39 +268,41 @@ class TestCheckpointResume:
         baseline = HierarchicalSolver(helix2_problem.hierarchy, 16).solve(
             est, max_cycles=3, tol=0.0
         )
-
-        killed = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        )
         n_nodes = len(helix2_problem.hierarchy)
-        self._kill_after(killed, n_nodes + 4)  # dies inside cycle 2
-        with pytest.raises(WorkerCrashError):
-            killed.solve(est, max_cycles=3, tol=0.0)
-
-        resumed = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        )
+        resumed = self._killed(
+            helix2_problem, tmp_path, cycles=3, kill_after=n_nodes + 4
+        )  # dies inside cycle 2
+        assert resumed.unfinished_cycle == 2
         report = resumed.solve(est, max_cycles=3, tol=0.0)
         assert np.array_equal(report.estimate.mean, baseline.estimate.mean)
         assert np.array_equal(report.estimate.covariance, baseline.estimate.covariance)
-        assert report.deltas == pytest.approx(baseline.deltas)
+        assert report.deltas == baseline.deltas
 
-    def test_checkpoint_directory_guards_problem_identity(self, helix2_problem, tmp_path):
-        ck = CheckpointManager(tmp_path)
-        ck.bind(helix2_problem.n_atoms)
-        with pytest.raises(CheckpointError, match="belongs to"):
-            CheckpointManager(tmp_path).bind(helix2_problem.n_atoms + 1)
+    def test_store_guards_problem_identity(self, helix2_problem, tmp_path):
+        loaded = self._killed(helix2_problem, tmp_path, cycles=2, kill_after=3)
+        other = build_helix(1)
+        assert not loaded.resumes(
+            other.hierarchy, other.constraints,
+            batch_size=16, options=UpdateOptions(), initial=other.initial_estimate(0),
+        )
+        assert not loaded.resumes(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            batch_size=16, options=UpdateOptions(),
+            initial=helix2_problem.initial_estimate(1),
+        )
 
     def test_clear_resets_directory(self, helix2_problem, tmp_path):
-        est = helix2_problem.initial_estimate(0)
-        solver = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
         )
-        solver.run_cycle(est)
-        ck = CheckpointManager(tmp_path)
-        assert ck.completed_cycle_estimate(0) is not None
-        ck.clear()
-        assert CheckpointManager(tmp_path).completed_cycle_estimate(0) is None
+        session.solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
+        # Leftovers of writes a kill cut short.
+        (tmp_path / "node_0.npz.tmp.npz").write_bytes(b"torn")
+        (tmp_path / "session.json.tmp").write_text("{")
+        (tmp_path / "cycle_input_99.npz").write_bytes(b"orphan")
+        SessionStore(tmp_path).clear()
+        assert list(tmp_path.iterdir()) == []
+        assert not SessionStore(tmp_path).has_manifest()
 
 
 class TestCrashAbsorption:

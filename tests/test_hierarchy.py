@@ -62,6 +62,30 @@ class TestStructure:
         assert cmap[2] == 0 and cmap[3] == 1
         assert np.all(cmap[[0, 1, 4, 5, 6, 7]] == -1)
 
+    def test_heights(self):
+        by_name = {n.name: n.nid for n in three_level().nodes}
+        heights = three_level().heights()
+        assert heights[by_name["l0"]] == heights[by_name["right"]] == 0
+        assert heights[by_name["left"]] == 1
+        assert heights[by_name["root"]] == 2
+
+    def test_wavefronts_partition_nodes(self, helix2_problem):
+        fronts = helix2_problem.hierarchy.wavefronts()
+        ids = [n.nid for front in fronts for n in front]
+        assert sorted(ids) == [n.nid for n in helix2_problem.hierarchy.post_order()]
+        assert all(n.is_leaf for n in fronts[0])
+        assert fronts[-1] == [helix2_problem.hierarchy.root]
+
+    def test_wavefront_independence(self, helix2_problem):
+        """No node may appear in the same front as one of its ancestors."""
+        for front in helix2_problem.hierarchy.wavefronts():
+            ids = {n.nid for n in front}
+            for node in front:
+                p = node.parent
+                while p is not None:
+                    assert p.nid not in ids
+                    p = p.parent
+
 
 class TestValidation:
     def test_children_concat_violation(self):

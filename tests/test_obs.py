@@ -17,8 +17,8 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core.hier_solver import HierarchicalSolver
+from repro.core.session import SolveSession
 from repro.faults import FaultConfig, FaultInjector, fault_injection
-from repro.faults.checkpoint import CheckpointManager
 from repro.linalg.kernels import gemm
 from repro.util.timer import Timer, WallClock, set_wall_clock, wall_clock
 
@@ -369,19 +369,19 @@ class TestSolveTracing:
         injected = [ev for ev in tracer.instants if ev.name == "fault.injected"]
         assert len(injected) == inj.injected["chol"]
 
-    def test_checkpoint_spans_and_metrics(self, helix2_problem, tmp_path):
+    def test_session_store_spans_and_metrics(self, helix2_problem, tmp_path):
         tracer, reg = obs.Tracer(), obs.MetricsRegistry()
-        manager = CheckpointManager(tmp_path / "ckpt")
-        solver = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=manager
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints,
+            store=tmp_path / "store",
         )
         with obs.tracing(tracer), obs.metrics_scope(reg):
-            solver.run_cycle(helix2_problem.initial_estimate(0))
-        saves = tracer.find(name="checkpoint.save_node", cat="checkpoint")
+            session.solve(helix2_problem.initial_estimate(0), max_cycles=1, tol=0.0)
+        saves = tracer.find(name="session.save_node", cat="checkpoint")
         assert len(saves) == len(helix2_problem.hierarchy.nodes)
         assert all("nid" in sp.attrs for sp in saves)
         snap = reg.snapshot()["counters"]
-        assert snap["checkpoint.nodes_saved"] == len(saves)
+        assert snap["session.nodes_saved"] == len(saves)
 
 
 class TestCLIObservability:

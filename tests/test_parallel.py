@@ -43,25 +43,6 @@ class TestExecutors:
 
 
 class TestParallelSolver:
-    def test_wavefronts_partition_nodes(self, helix2_problem):
-        solver = ParallelHierarchicalSolver(helix2_problem.hierarchy)
-        fronts = solver.wavefronts()
-        ids = [n.nid for front in fronts for n in front]
-        assert sorted(ids) == [n.nid for n in helix2_problem.hierarchy.post_order()]
-        assert all(n.is_leaf for n in fronts[0])
-        assert fronts[-1] == [helix2_problem.hierarchy.root]
-
-    def test_wavefront_independence(self, helix2_problem):
-        """No node may appear in the same front as one of its ancestors."""
-        solver = ParallelHierarchicalSolver(helix2_problem.hierarchy)
-        for front in solver.wavefronts():
-            ids = {n.nid for n in front}
-            for node in front:
-                p = node.parent
-                while p is not None:
-                    assert p.nid not in ids
-                    p = p.parent
-
     def test_inline_matches_serial_solver(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
         serial = HierarchicalSolver(helix2_problem.hierarchy, batch_size=16).run_cycle(est)

@@ -17,9 +17,9 @@ from repro.core.hier_solver import HierarchicalSolver
 from repro.core.hierarchy import assign_constraints
 from repro.core.session import SessionResolveResult, SolveSession
 from repro.core.state import StructureEstimate
+from repro.core.update import AnnealSchedule, UpdateOptions
 from repro.errors import CheckpointError, HierarchyError, SessionError, WorkerCrashError
 from repro.faults import (
-    CheckpointManager,
     FaultConfig,
     FaultInjector,
     SessionStore,
@@ -450,6 +450,27 @@ class TestPersistence:
         assert loaded.options.kernel_impl == session.options.kernel_impl
         assert len(loaded.constraints) == len(session.constraints)
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            UpdateOptions(schedule=AnnealSchedule(8, 0.5)),
+            UpdateOptions(local_iterations=2),
+        ],
+        ids=["batch-anneal", "local-iterations"],
+    )
+    def test_reloaded_session_keeps_update_options(self, options, tmp_path):
+        """A reload resolves with the options that built its cache."""
+        problem = build_helix(2)
+        session = SolveSession(
+            problem.hierarchy, problem.constraints, options=options, store=tmp_path
+        )
+        session.solve(problem.initial_estimate(0), max_cycles=2, tol=0.0)
+        loaded = SolveSession.load(tmp_path)
+        assert loaded.options == options
+        session.add_constraints([_leaf_delta(problem)])
+        loaded.add_constraints([_leaf_delta(problem)])
+        _assert_estimates_equal(loaded.resolve().estimate, session.resolve().estimate)
+
     def test_killed_resolve_resumes_without_redoing_done_nodes(
         self, helix2_problem, tmp_path
     ):
@@ -512,80 +533,191 @@ class TestPersistence:
         _assert_estimates_equal(result.estimate, _cold_reference(resumed))
 
 
-class TestCheckpointInterplay:
-    """The solver-level CheckpointManager vs constraint edits.
+class StoreKill:
+    """Make the store's ``kill_at``-th write raise (0-based; ``None``: never).
 
-    The session layer persists through SessionStore; the classic per-node
-    checkpoint remains for plain solves — but it must never replay
-    ``completed_cycle_estimate`` state computed under a different
-    constraint set.
+    Writes are cycle inputs, manifests and node posteriors, in the order
+    a session makes them; all run on the dispatching thread, on every
+    backend.  ``writes`` counts the writes that went through.
     """
 
-    def test_dirty_pass_with_checkpoint_rejected(self, helix2_problem, tmp_path):
-        solver = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
+    def __init__(self, monkeypatch, kill_at=None):
+        self.kill_at = kill_at
+        self.writes = 0
+        for name in ("save_cycle_input", "save_manifest", "save_node"):
+            original = getattr(SessionStore, name)
+            monkeypatch.setattr(SessionStore, name, self._wrap(original))
+
+    def _wrap(self, original):
+        def write(store, *args, **kwargs):
+            if self.writes == self.kill_at:
+                raise RuntimeError("simulated kill")
+            self.writes += 1
+            return original(store, *args, **kwargs)
+
+        return write
+
+
+def _uninterrupted(length: int, cycles: int):
+    problem = build_helix(length)
+    with SolveSession(problem.hierarchy, problem.constraints) as session:
+        return session.solve(problem.initial_estimate(0), max_cycles=cycles, tol=0.0)
+
+
+def _assert_reports_equal(report, baseline) -> None:
+    _assert_estimates_equal(report.estimate, baseline.estimate)
+    assert report.deltas == baseline.deltas
+    assert report.cycles == baseline.cycles
+
+
+class TestColdResume:
+    """A killed cold solve continues from its last finished node, bitwise."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_killed_solve_resumes_bitwise(self, backend, tmp_path, monkeypatch):
+        baseline = _uninterrupted(2, 3)
+        problem = build_helix(2)
+        n_nodes = len(problem.hierarchy.nodes)
+        # Cycle 1 writes its input, its manifest and every node; cycle 2
+        # dies after its input, its manifest and five nodes.
+        kill = StoreKill(monkeypatch, kill_at=(2 + n_nodes) + (2 + 5))
+        with BACKENDS[backend]() as executor, SolveSession(
+            problem.hierarchy, problem.constraints, executor=executor, store=tmp_path
+        ) as session:
+            with pytest.raises(RuntimeError, match="simulated kill"):
+                session.solve(problem.initial_estimate(0), max_cycles=3, tol=0.0)
+        kill.kill_at = None
+        with BACKENDS[backend]() as executor, SolveSession.load(
+            tmp_path, executor=executor
+        ) as resumed:
+            assert resumed.unfinished_cycle == 2
+            assert len(resumed.dirty_nids) == n_nodes - 5
+            report = resumed.solve(problem.initial_estimate(0), max_cycles=3, tol=0.0)
+            assert resumed.unfinished_cycle is None
+        _assert_reports_equal(report, baseline)
+
+    def test_kill_at_every_store_write_resumes_bitwise(self, tmp_path, monkeypatch):
+        baseline = _uninterrupted(1, 2)
+        count = StoreKill(monkeypatch)
+        problem = build_helix(1)
+        SolveSession(problem.hierarchy, problem.constraints, store=tmp_path / "count").solve(
+            problem.initial_estimate(0), max_cycles=2, tol=0.0
         )
-        est = helix2_problem.initial_estimate(0)
-        with pytest.raises(HierarchyError, match="SolveSession"):
-            solver.run_cycle(est, dirty=frozenset({0}), cache={})
+        # Two cycle inputs, two staged manifests, every node twice and the
+        # final manifest.
+        assert count.writes == 2 * (2 + len(problem.hierarchy.nodes)) + 1
+        for kill_at in range(count.writes):
+            directory = tmp_path / f"kill{kill_at}"
+            problem = build_helix(1)
+            count.kill_at, count.writes = kill_at, 0
+            with pytest.raises(RuntimeError, match="simulated kill"):
+                SolveSession(problem.hierarchy, problem.constraints, store=directory).solve(
+                    problem.initial_estimate(0), max_cycles=2, tol=0.0
+                )
+            count.kill_at = None
+            if SessionStore(directory).has_manifest():
+                session = SolveSession.load(directory)
+                assert session.unfinished_cycle is not None
+            else:
+                problem = build_helix(1)
+                session = SolveSession(problem.hierarchy, problem.constraints, store=directory)
+            report = session.solve(problem.initial_estimate(0), max_cycles=2, tol=0.0)
+            _assert_reports_equal(report, baseline)
+            assert SolveSession.load(directory).unfinished_cycle is None
 
-    def test_bind_token_discards_stale_artifacts(self, helix2_problem, tmp_path):
-        from repro.io import assigned_constraints_token
+    def test_live_session_continues_after_a_failed_write(self, tmp_path, monkeypatch):
+        baseline = _uninterrupted(2, 3)
+        problem = build_helix(2)
+        kill = StoreKill(monkeypatch, kill_at=len(problem.hierarchy.nodes) + 5)
+        session = SolveSession(problem.hierarchy, problem.constraints, store=tmp_path)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            session.solve(problem.initial_estimate(0), max_cycles=3, tol=0.0)
+        kill.kill_at = None
+        report = session.solve(problem.initial_estimate(0), max_cycles=3, tol=0.0)
+        _assert_reports_equal(report, baseline)
 
-        est = helix2_problem.initial_estimate(0)
-        HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        ).run_cycle(est)
-        token = assigned_constraints_token(helix2_problem.hierarchy)
+    def test_finished_solve_records_no_unfinished_solve(self, helix2_problem, tmp_path):
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+        )
+        session.solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
+        manifest = SessionStore(tmp_path).load_manifest()
+        assert manifest["solve"] is None and manifest["staged"] is None
+        assert SolveSession.load(tmp_path).unfinished_cycle is None
+        # Only the warm start's cycle input is kept.
+        assert [p.name for p in tmp_path.glob("cycle_input*")] == [
+            f"cycle_input_{manifest['cycle_input']}.npz"
+        ]
 
-        same = CheckpointManager(tmp_path)
-        same.bind(helix2_problem.n_atoms, constraints_token=token)
-        assert same.completed_cycle_estimate(0) is not None
+    def test_unfinished_solve_refuses_resolve_and_edits(
+        self, helix2_problem, tmp_path, monkeypatch
+    ):
+        kill = StoreKill(monkeypatch, kill_at=3)
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+        )
+        with pytest.raises(RuntimeError):
+            session.solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
+        kill.kill_at = None
+        for live in (session, SolveSession.load(tmp_path)):
+            with pytest.raises(SessionError, match="solve"):
+                live.resolve()
+            with pytest.raises(SessionError, match="solve"):
+                live.add_constraints([_leaf_delta(helix2_problem)])
 
-        edited = CheckpointManager(tmp_path)
-        edited.bind(helix2_problem.n_atoms, constraints_token="sha256:other")
-        assert edited.completed_cycle_estimate(0) is None
+    def test_resume_needs_the_same_initial_estimate(
+        self, helix2_problem, tmp_path, monkeypatch
+    ):
+        kill = StoreKill(monkeypatch, kill_at=3)
+        with pytest.raises(RuntimeError):
+            SolveSession(
+                helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+            ).solve(helix2_problem.initial_estimate(0), max_cycles=2, tol=0.0)
+        kill.kill_at = None
+        with pytest.raises(SessionError, match="initial estimate"):
+            SolveSession.load(tmp_path).solve(
+                helix2_problem.initial_estimate(1), max_cycles=2, tol=0.0
+            )
 
     def test_interrupted_solve_with_edited_constraints_restarts_clean(
-        self, helix2_problem, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        est = helix2_problem.initial_estimate(0)
-        killed = HierarchicalSolver(
-            helix2_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
-        )
-        n_nodes = len(helix2_problem.hierarchy)
-        original = killed._solve_node
-        seen = {"n": 0}
-
-        def bombed(node, *args, **kwargs):
-            if seen["n"] == n_nodes + 4:  # dies inside cycle 2
-                raise RuntimeError("simulated kill")
-            seen["n"] += 1
-            return original(node, *args, **kwargs)
-
-        killed._solve_node = bombed
+        """An unfinished solve resumes only for exactly its own problem."""
+        problem = build_helix(2)
+        est = problem.initial_estimate(0)
+        kill = StoreKill(monkeypatch, kill_at=20)
         with pytest.raises(RuntimeError):
-            killed.solve(est, max_cycles=3, tol=0.0)
-
-        # Edit the problem, then resume against the same directory.
-        edited = list(helix2_problem.constraints) + [_leaf_delta(helix2_problem)]
-        fresh = build_helix(2)
-        assign_constraints(fresh.hierarchy, edited)
-        baseline = HierarchicalSolver(fresh.hierarchy, 16).solve(
-            est, max_cycles=3, tol=0.0
+            SolveSession(problem.hierarchy, problem.constraints, store=tmp_path).solve(
+                est, max_cycles=3, tol=0.0
+            )
+        kill.kill_at = None
+        loaded = SolveSession.load(tmp_path)
+        same = build_helix(2)
+        assert loaded.resumes(
+            same.hierarchy, same.constraints,
+            batch_size=16, options=UpdateOptions(), initial=est,
         )
-
-        resumed_problem = build_helix(2)
-        assign_constraints(resumed_problem.hierarchy, edited)
-        resumed = HierarchicalSolver(
-            resumed_problem.hierarchy, 16, checkpoint=CheckpointManager(tmp_path)
+        edited = list(same.constraints) + [_leaf_delta(same)]
+        assert not loaded.resumes(
+            same.hierarchy, edited, batch_size=16, options=UpdateOptions(), initial=est
         )
-        report = resumed.solve(est, max_cycles=3, tol=0.0)
-        # The stale cycle-1 output (computed without the new constraint)
-        # was discarded, not replayed.
-        assert resumed.checkpoint.cycles_replayed == 0
-        _assert_estimates_equal(report.estimate, baseline.estimate)
-        assert report.deltas == pytest.approx(baseline.deltas)
+        reordered = list(same.constraints[1:]) + [same.constraints[0]]
+        assert not loaded.resumes(
+            same.hierarchy, reordered, batch_size=16, options=UpdateOptions(), initial=est
+        )
+        for batch_size, options in (
+            (8, UpdateOptions()),
+            (16, UpdateOptions(local_iterations=2)),
+            (16, UpdateOptions(kernel_impl="vector")),
+        ):
+            assert not loaded.resumes(
+                same.hierarchy, same.constraints,
+                batch_size=batch_size, options=options, initial=est,
+            )
+        assert not loaded.resumes(
+            build_helix(1).hierarchy, same.constraints,
+            batch_size=16, options=UpdateOptions(), initial=est,
+        )
 
 
 class TestSessionErrors:
@@ -615,6 +747,12 @@ class TestSessionErrors:
     def test_load_without_manifest_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             SolveSession.load(SessionStore(tmp_path))
+
+    def test_load_rejects_an_older_manifest_version(self, tmp_path):
+        """Version 1 manifests did not record the update options."""
+        (tmp_path / "session.json").write_text('{"version": 1}')
+        with pytest.raises(CheckpointError, match="version"):
+            SolveSession.load(tmp_path)
 
 
 class TestKernelPolicy:
