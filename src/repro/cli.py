@@ -472,8 +472,13 @@ def _load_trace_and_hierarchy(args):
     from repro import obs
     from repro.errors import TraceAnalysisError
 
+    if not str(args.trace).endswith(".jsonl"):
+        raise SystemExit(
+            f"{args.trace} is not a spans log: Chrome trace JSON is a write-only "
+            "view for Perfetto; record one with 'repro solve --trace PATH.jsonl'"
+        )
     try:
-        tracer = obs.load_trace(args.trace)
+        tracer = obs.read_spans_jsonl(args.trace)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot load trace {args.trace}: {exc}") from exc
     hierarchy = None
@@ -839,9 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write a span trace of the solve: Chrome trace-event JSON "
-        "(open in Perfetto / chrome://tracing), or flat span records if "
-        "PATH ends in .jsonl",
+        help="write a span trace of the solve: a spans log if PATH ends in "
+        ".jsonl (what 'repro obs doctor' reads), else Chrome trace-event "
+        "JSON to open in Perfetto / chrome://tracing",
     )
     solve.add_argument(
         "--metrics-out",
@@ -858,8 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat",
         default=None,
         metavar="PATH[:SECS]",
-        help="append live metrics snapshots to this heartbeat JSONL every "
-        "SECS seconds (default 1.0); watch it with 'repro obs top'",
+        help="write live metrics snapshots to this heartbeat JSONL every "
+        "SECS seconds (default 1.0), replacing any earlier run's; watch it "
+        "with 'repro obs top'",
     )
     solve.add_argument(
         "--flight-dir",
@@ -912,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat",
         default=None,
         metavar="PATH[:SECS]",
-        help="append live metrics snapshots to this heartbeat JSONL "
+        help="write live metrics snapshots to this heartbeat JSONL "
         "(see 'solve --heartbeat')",
     )
     resolve.add_argument(
@@ -968,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heartbeat",
         default=None,
         metavar="PATH[:SECS]",
-        help="append live sweep metrics to this heartbeat JSONL "
+        help="write live sweep metrics to this heartbeat JSONL "
         "(see 'solve --heartbeat')",
     )
     fuzz.set_defaults(fn=_cmd_fuzz)
@@ -1022,7 +1028,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="critical path, worker utilization and Equation-1 drift of a trace",
     )
     doctor.add_argument(
-        "trace", help="trace file from 'solve --trace' (.jsonl or Chrome JSON)"
+        "trace", help="spans log from 'solve --trace PATH.jsonl'"
     )
     doctor.add_argument(
         "--problem",
@@ -1046,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
     cpath = obs_sub.add_parser(
         "critical-path", help="longest dependency chain through each solver pass"
     )
-    cpath.add_argument("trace")
+    cpath.add_argument("trace", help="spans log from 'solve --trace PATH.jsonl'")
     cpath.add_argument("--problem", default=None)
     cpath.add_argument("--out", default=None)
     cpath.set_defaults(fn=_cmd_obs_critical_path)

@@ -172,8 +172,10 @@ def recording(recorder: Recorder | None = None) -> Iterator[Recorder]:
 
     Nested ``recording`` blocks shadow outer ones; events go only to the
     innermost recorder.  Recording costs one dataclass append per kernel
-    call, negligible next to the kernels themselves at the matrix sizes the
-    solver uses.
+    call, which is not negligible: a steady serial ``build_ribo30s`` cycle
+    makes about 5,700 of them, and stubbing :meth:`Recorder.record` moved
+    its median from 0.424 s to 0.394 s (8 interleaved cycles on a 2-vCPU
+    host, BLAS pinned to one thread).
     """
     rec = recorder if recorder is not None else Recorder()
     token = _ACTIVE.set(rec)

@@ -10,18 +10,20 @@ with contextvar scopes so an uninstrumented run stays bit-identical:
 * **Metrics** (:mod:`repro.obs.metrics`) — ``with metrics_scope(...)``
   collects counters/gauges/histograms (retries, quarantines, kernel
   FLOPs, executor resubmissions, session store I/O).
-* **Exporters** (:mod:`repro.obs.export`) — Chrome trace-event JSON for
-  ``chrome://tracing``/Perfetto, a flat JSONL span log, and a terminal
-  per-category summary; loaders (:func:`load_trace`) round-trip both
-  formats back into a :class:`Tracer`; :mod:`repro.obs.validate` checks
-  exported files against their schemas.
+* **Exporters** (:mod:`repro.obs.export`) — one JSONL record schema
+  (a ``meta`` row, then ``span``/``instant``/``metrics`` rows) shared by
+  spans logs, flight dumps and heartbeats, which
+  :func:`read_spans_jsonl` loads back into a :class:`Tracer`; a
+  write-only Chrome trace-event view for ``chrome://tracing``/Perfetto;
+  and a terminal per-category summary.  :mod:`repro.obs.validate` checks
+  exported files against the schema.
 * **Analytics** (:mod:`repro.obs.analysis`) — strictly post-hoc:
   critical path through the node-dependency DAG, per-worker
   utilization/imbalance and Equation-1 drift (the ``repro obs`` CLI
   family).
 * **Live telemetry** (:mod:`repro.obs.live`) — the while-it-runs plane:
-  an always-on :class:`FlightRecorder` ring buffer dumped to JSONL on
-  forensic triggers, a :class:`TelemetrySnapshotter` heartbeat exporter
+  an always-on :class:`FlightRecorder` ring of tracer records dumped as a
+  spans log on forensic triggers, a :class:`TelemetrySnapshotter` heartbeat exporter
   feeding ``repro obs top``, and :class:`SLOSpec`/:class:`SLOTracker`
   burn-rate verdicts over rolling histogram windows.
 
@@ -37,15 +39,13 @@ Typical use::
 
 Instrumented library code uses the module-level no-op-when-inactive
 hooks (:func:`obs.span`, :func:`obs.instant`, :func:`obs.inc`,
-:func:`obs.observe`, :func:`obs.set_gauge`) so hook sites cost one
-contextvar read when observability is off.
+:func:`obs.observe`, :func:`obs.set_gauge`) so hook sites cost one or
+two contextvar reads when observability is off.
 """
 
 from repro.obs.export import (
     chrome_trace_events,
     format_obs_summary,
-    load_trace,
-    read_chrome_trace,
     read_spans_jsonl,
     write_chrome_trace,
     write_metrics_json,
@@ -56,7 +56,6 @@ from repro.obs.live import (
     SLOSpec,
     SLOTracker,
     TelemetrySnapshotter,
-    current_flight_recorder,
     flight_recording,
     parse_heartbeat_spec,
     read_heartbeats,
@@ -81,6 +80,7 @@ from repro.obs.tracer import (
     Instant,
     Span,
     Tracer,
+    current_flight_recorder,
     current_tracer,
     instant,
     span,
@@ -91,12 +91,8 @@ _LAZY = {
     # double-import warning while still exporting the validate API here,
     # and keeps the analysis machinery (numpy-heavy, CLI-facing)
     # out of the instrumentation import path.
-    "flight_jsonl_stats": "repro.obs.validate",
-    "heartbeat_jsonl_stats": "repro.obs.validate",
     "trace_stats": "repro.obs.validate",
     "validate_chrome_trace": "repro.obs.validate",
-    "validate_flight_jsonl": "repro.obs.validate",
-    "validate_heartbeat_jsonl": "repro.obs.validate",
     "validate_spans_jsonl": "repro.obs.validate",
     "critical_path": "repro.obs.analysis",
     "doctor_report": "repro.obs.analysis",
@@ -134,22 +130,18 @@ __all__ = [
     "current_tracer",
     "doctor_report",
     "eq1_drift",
-    "flight_jsonl_stats",
     "flight_recording",
     "format_doctor_report",
     "format_obs_summary",
-    "heartbeat_jsonl_stats",
     "inc",
     "instant",
     "labeled_name",
-    "load_trace",
     "metrics_scope",
     "observe",
     "observe_latency",
     "parse_heartbeat_spec",
     "parse_metric_key",
     "quantile_from_snapshot",
-    "read_chrome_trace",
     "read_heartbeats",
     "read_spans_jsonl",
     "render_top",
@@ -159,8 +151,6 @@ __all__ = [
     "trace_stats",
     "tracing",
     "validate_chrome_trace",
-    "validate_flight_jsonl",
-    "validate_heartbeat_jsonl",
     "validate_spans_jsonl",
     "worker_utilization",
     "write_chrome_trace",

@@ -22,8 +22,9 @@ the paper's two load-bearing parallel claims:
   calibration is detected instead of silently mis-assigning processors.
 
 Everything here is strictly post-hoc: it consumes a live
-:class:`~repro.obs.tracer.Tracer` or a file loaded with
-:func:`~repro.obs.export.load_trace`, and never touches the solve path.
+:class:`~repro.obs.tracer.Tracer` or a spans log loaded with
+:func:`~repro.obs.export.read_spans_jsonl`, and never touches the solve
+path.
 :func:`doctor_report` bundles all three analyses (the ``repro obs
 doctor`` CLI); :func:`format_doctor_report` renders the terminal view.
 
@@ -126,11 +127,10 @@ def _node_stat(sp: Span) -> NodeSpanStat:
 def solve_passes(tracer: Tracer) -> list[SolvePass]:
     """Extract every solver pass (cold cycles and warm re-solves) in order.
 
-    Node spans attach to their pass through span ancestry; lane-root node
-    spans with no recorded ancestry (a Chrome-trace round trip drops
-    cross-lane parent links) fall back to time containment against the
-    pass window.  A trace with no ``cycle`` spans raises
-    :class:`TraceAnalysisError` — there is nothing to analyze.
+    Node spans attach to their pass through span ancestry; a node span
+    with no ``cycle`` ancestor belongs to no pass.  A trace with no
+    ``cycle`` spans raises :class:`TraceAnalysisError` — there is nothing
+    to analyze.
     """
     parents = _span_parent_map(tracer)
     cycles = sorted(
@@ -168,16 +168,9 @@ def solve_passes(tracer: Tracer) -> list[SolvePass]:
     ]
     for sp in node_spans:
         anchor = _enclosing_pass(sp, parents)
-        if anchor is not None:
-            target = by_span_id[anchor.span_id]
-        else:
-            # Lane root without ancestry: time containment, latest pass
-            # that covers the span's midpoint (passes never overlap).
-            mid = (sp.start + sp.end) / 2.0
-            containing = [p for p in passes if p.start <= mid <= p.end]
-            if not containing:
-                continue
-            target = containing[-1]
+        if anchor is None:
+            continue
+        target = by_span_id[anchor.span_id]
         stat = _node_stat(sp)
         prev = target.nodes.get(stat.nid)
         if prev is None or stat.seconds > prev.seconds:

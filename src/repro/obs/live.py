@@ -1,23 +1,24 @@
 """Live telemetry plane: flight recorder, heartbeat exporter, SLO tracking.
 
 Everything else in :mod:`repro.obs` is post-hoc — it reads a finished
-trace after the run ends.  This module is the *while-it-runs* plane the
-session server needs, in three pieces:
+trace after the run ends.  This module is the *while-it-runs* plane, in
+three pieces:
 
-* :class:`FlightRecorder` — an always-on bounded ring buffer of recent
-  span/metric/fault events.  Idle cost is one contextvar read per
-  instrumented site; active cost is a dict + deque append.  On a
+* :class:`FlightRecorder` — an always-on bounded ring of the most recent
+  spans and instants: a :class:`~repro.obs.tracer.Tracer` that keeps only
+  its tail.  With nothing active the hooks cost two contextvar reads;
+  with the ring on, each span or instant is one tracer record.  On a
   forensic trigger (terminal batch failure, quarantine, worker death,
-  pool rebuild — or an explicit :meth:`~FlightRecorder.dump`) the ring
-  is written to a timestamped JSONL artifact that
-  ``python -m repro.obs.validate`` understands.  Worker processes run
-  their own recorder and ship :meth:`~FlightRecorder.payload` home with
-  their results; the parent folds it in with
-  :meth:`~FlightRecorder.absorb`, firing any triggers the worker saw.
-* :class:`TelemetrySnapshotter` — a daemon thread appending
+  pool rebuild — or an explicit :meth:`~FlightRecorder.dump`) the ring is
+  written as a spans log whose ``meta`` row says why.  Worker processes
+  run their own ring and ship it home as a tracer payload plus the
+  triggers they saw; the parent folds it in with
+  :meth:`~FlightRecorder.merge` and re-fires those triggers.
+* :class:`TelemetrySnapshotter` — a daemon thread writing
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots to a heartbeat
-  JSONL at a fixed period, stamping tracer/recorder/its-own self-cost
-  into each beat so the live plane reports its overhead honestly.
+  JSONL (a ``meta`` row, then ``metrics`` rows) at a fixed period,
+  stamping tracer/recorder/its-own self-cost into each row so the live
+  plane reports its overhead honestly.
 * :class:`SLOSpec` / :class:`SLOTracker` — a latency objective
   ("p95 of ``cycle.seconds`` under 2 s") assessed as a rolling
   burn rate over heartbeat windows.
@@ -27,10 +28,9 @@ terminal view: fleet busy%, inflight tasks, resubmit and rebuild
 counters, plan-cache hit rate, per-cycle/per-resolve p50/p99, per-session series
 and the SLO verdict.
 
-Timestamps here are wall ``time.time()`` (not the swappable solver
-clock): flight events from different processes must collate without the
-epoch rebasing the tracer does, and heartbeat consumers live outside the
-process.  Self-cost intervals use ``time.perf_counter``.
+Flight records are timed on the tracer clock, and a dump's ``meta`` row
+carries the epoch that maps it to wall time.  Heartbeat rows carry wall
+``time.time()`` stamps, because their consumers live outside the process.
 """
 
 from __future__ import annotations
@@ -41,21 +41,22 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from repro.obs.export import read_jsonl_rows, write_spans_jsonl
 from repro.obs.metrics import (
     MetricsRegistry,
     bucket_value,
     parse_metric_key,
     quantile_from_snapshot,
 )
+from repro.obs.tracer import _RECORDER, Instant, Span, Tracer
 
-#: Instant names that dump the flight ring when they pass through
-#: :meth:`FlightRecorder.record`.  Any instant carrying
-#: ``error=NotPositiveDefiniteError`` triggers regardless of name.
+#: Instant names that dump the flight ring when a hook records them.  Any
+#: instant carrying ``error=NotPositiveDefiniteError`` triggers regardless
+#: of name.
 DEFAULT_TRIGGERS = frozenset(
     {
         "update.batch_failed",
@@ -67,24 +68,21 @@ DEFAULT_TRIGGERS = frozenset(
 
 _NPD_ERROR = "NotPositiveDefiniteError"
 
-FLIGHT_META_TYPE = "flight_meta"
-HEARTBEAT_META_TYPE = "heartbeat_meta"
 
+class FlightRecorder(Tracer):
+    """A Tracer that keeps its last ``capacity`` records and dumps them on triggers.
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+    The :func:`~repro.obs.span`/:func:`~repro.obs.instant` hooks feed the
+    active recorder: with a tracer active it keeps the records that
+    tracer commits (:meth:`keep`), and without one it records them itself.
+    Kernel spans are never kept.  Spans and instants share one ring in
+    commit order; the oldest record is evicted first, and ``dropped``
+    counts evictions.
 
-
-class FlightRecorder:
-    """Bounded ring of recent events, dumped to JSONL on forensic triggers.
-
-    ``dump_dir=None`` (the worker-side configuration) records and trigger-
-    detects but never writes; triggers are shipped in
-    :meth:`payload` and re-fired by the parent's :meth:`absorb`.
-    ``max_dumps`` rate-limits artifact creation so a crash storm cannot
-    fill a disk.
+    ``dump_dir=None`` (the worker-side configuration) records and detects
+    triggers but never writes: they wait in :meth:`payload` and re-fire
+    in the parent's :meth:`merge`.  ``max_dumps`` rate-limits artifact
+    creation so a crash storm cannot fill a disk.
     """
 
     def __init__(
@@ -94,62 +92,56 @@ class FlightRecorder:
         triggers: frozenset[str] | set[str] = DEFAULT_TRIGGERS,
         max_dumps: int = 5,
     ) -> None:
+        super().__init__()
         self.capacity = int(capacity)
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self.triggers = frozenset(triggers)
         self.max_dumps = int(max_dumps)
+        self.spans: deque[Span] = deque()
+        self.instants: deque[Instant] = deque()
         self.recorded = 0
         self.dumps: list[Path] = []
-        self.overhead_seconds = 0.0
-        self._events: deque[dict] = deque(maxlen=self.capacity)
-        self._pending_triggers: list[dict] = []
-        self._lock = threading.Lock()
-        self._seq = 0
+        self._order: deque[bool] = deque()  # commit order; True = a span
+        self._pending: list[dict] = []
 
-    # ------------------------------------------------------------- recording
     @property
     def dropped(self) -> int:
-        """Events evicted from the ring since construction."""
-        return self.recorded - len(self._events)
+        """Records evicted from the ring since construction."""
+        return self.recorded - len(self._order)
 
-    def record(
-        self,
-        kind: str,
-        name: str,
-        cat: str,
-        attrs: Mapping[str, Any] | None = None,
-        duration: float | None = None,
-    ) -> None:
-        """Append one event; instants may fire a forensic dump."""
-        t0 = time.perf_counter()
-        event = {
-            "ts": time.time(),
-            "kind": kind,
-            "name": name,
-            "cat": cat,
-            "pid": os.getpid(),
-            "attrs": {k: _jsonable(v) for k, v in (attrs or {}).items()},
-        }
-        if duration is not None:
-            event["dur"] = duration
+    def _keep(self, record: Span | Instant) -> None:
+        is_span = isinstance(record, Span)
+        (self.spans if is_span else self.instants).append(record)
+        self._order.append(is_span)
+        self.recorded += 1
+        if len(self._order) > self.capacity:
+            (self.spans if self._order.popleft() else self.instants).popleft()
+
+    # ------------------------------------------------------------- recording
+    def keep(self, record: Span | Instant) -> None:
+        """Keep a record the active tracer committed; an instant may trigger."""
+        t0 = self.clock.now()
         with self._lock:
-            self._events.append(event)
-            self.recorded += 1
-        if kind == "instant" and self._is_trigger(name, event["attrs"]):
-            self._trigger(name, event["attrs"])
-        self.overhead_seconds += time.perf_counter() - t0
+            self._keep(record)
+            self.overhead_seconds += self.clock.now() - t0
+        if isinstance(record, Instant):
+            self._check(record)
 
-    def _is_trigger(self, name: str, attrs: Mapping[str, Any]) -> bool:
-        return name in self.triggers or attrs.get("error") == _NPD_ERROR
+    def instant(self, name: str, cat: str = "annotation", **attrs: Any) -> Instant:
+        ev = super().instant(name, cat, **attrs)
+        self._check(ev)
+        return ev
 
-    def _trigger(self, name: str, attrs: Mapping[str, Any]) -> None:
+    def _check(self, ev: Instant) -> None:
+        if ev.name in self.triggers or ev.attrs.get("error") == _NPD_ERROR:
+            self._fire(ev.name, ev.attrs)
+
+    def _fire(self, name: str, attrs: Mapping[str, Any]) -> None:
         if self.dump_dir is None:
             with self._lock:
-                self._pending_triggers.append({"name": name, "attrs": dict(attrs)})
-            return
-        if len(self.dumps) >= self.max_dumps:
-            return
-        self.dump(reason=name, trigger=dict(attrs))
+                self._pending.append({"name": name, "attrs": dict(attrs)})
+        elif len(self.dumps) < self.max_dumps:
+            self.dump(reason=name, trigger=attrs)
 
     # --------------------------------------------------------------- dumping
     def dump(
@@ -158,80 +150,41 @@ class FlightRecorder:
         reason: str = "manual",
         trigger: Mapping[str, Any] | None = None,
     ) -> Path:
-        """Write the ring (ts-ordered) plus a meta header row to JSONL."""
-        t0 = time.perf_counter()
-        with self._lock:
-            events = sorted(self._events, key=lambda e: e["ts"])
-            self._seq += 1
-            seq = self._seq
+        """Write the ring as a spans log whose ``meta`` row says why and what it lost."""
         if path is None:
             if self.dump_dir is None:
                 raise ValueError("no dump path given and recorder has no dump_dir")
             self.dump_dir.mkdir(parents=True, exist_ok=True)
             stamp = time.strftime("%Y%m%d-%H%M%S")
             slug = reason.replace(".", "-").replace("/", "-")
-            path = self.dump_dir / f"flight-{slug}-{stamp}-{seq:02d}.jsonl"
-        path = Path(path)
-        meta = {
-            "type": FLIGHT_META_TYPE,
-            "version": 1,
-            "reason": reason,
-            "dumped_at": time.time(),
-            "pid": os.getpid(),
-            "capacity": self.capacity,
-            "recorded": self.recorded,
-            "dropped": self.dropped,
-            "events": len(events),
-            "overhead_seconds": self.overhead_seconds,
-        }
-        if trigger is not None:
-            meta["trigger"] = {k: _jsonable(v) for k, v in trigger.items()}
-        with path.open("w") as fh:
-            fh.write(json.dumps(meta) + "\n")
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
+            name = f"flight-{slug}-{stamp}-{len(self.dumps) + 1:02d}.jsonl"
+            path = self.dump_dir / name
+        with self._lock:
+            meta = {
+                "reason": reason,
+                "capacity": self.capacity,
+                "recorded": self.recorded,
+                "dropped": self.dropped,
+                "events": len(self._order),
+                "dumped_at": time.time(),
+                "pid": os.getpid(),
+            }
+            if trigger is not None:
+                meta["trigger"] = dict(trigger)
+            path = write_spans_jsonl(self, path, meta)
         self.dumps.append(path)
-        self.overhead_seconds += time.perf_counter() - t0
         return path
 
     # ------------------------------------------------------- worker transport
     def payload(self) -> dict:
-        """Picklable state shipped from a worker back to the parent."""
-        with self._lock:
-            return {
-                "events": list(self._events),
-                "recorded": self.recorded,
-                "pending_triggers": list(self._pending_triggers),
-                "overhead_seconds": self.overhead_seconds,
-            }
+        """The ring as a tracer payload, plus the triggers it could not fire."""
+        return {**super().payload(), "triggers": list(self._pending)}
 
-    def absorb(self, payload: dict | None) -> None:
-        """Fold a worker recorder's :meth:`payload` into this ring.
-
-        Worker events interleave by wall timestamp at the next dump; any
-        trigger the worker detected (but could not dump, having no
-        ``dump_dir``) fires here with its original attrs.
-        """
-        if not payload:
-            return
-        events = payload.get("events", [])
-        with self._lock:
-            self._events.extend(events)
-            self.recorded += int(payload.get("recorded", len(events)))
-        self.overhead_seconds += float(payload.get("overhead_seconds", 0.0))
-        for pending in payload.get("pending_triggers", []):
-            self._trigger(pending.get("name", "worker.trigger"), pending.get("attrs", {}))
-
-
-# ---------------------------------------------------------- active recorder
-_RECORDER: ContextVar[FlightRecorder | None] = ContextVar(
-    "repro_obs_flight", default=None
-)
-
-
-def current_flight_recorder() -> FlightRecorder | None:
-    """The flight recorder instrumented sites feed, or ``None``."""
-    return _RECORDER.get()
+    def merge(self, payload: dict | None, parent_id: int | None = None) -> None:
+        """Fold a worker ring's :meth:`payload` in, then fire its triggers here."""
+        super().merge(payload, parent_id)
+        for pending in (payload or {}).get("triggers", ()):
+            self._fire(pending["name"], pending["attrs"])
 
 
 @contextmanager
@@ -249,9 +202,10 @@ def flight_recording(
 
 # ------------------------------------------------------- heartbeat exporter
 class TelemetrySnapshotter:
-    """Daemon thread appending registry snapshots to a heartbeat JSONL.
+    """Daemon thread writing registry snapshots to a heartbeat JSONL.
 
-    Each beat stamps the observability self-cost gauges
+    The file holds one run: :meth:`start` truncates it and writes the
+    ``meta`` row, and each beat appends one ``metrics`` row.  Each beat stamps the observability self-cost gauges
     (``obs.overhead_seconds`` from the tracer,
     ``obs.snapshotter_overhead_seconds`` for this thread,
     ``obs.recorder_overhead_seconds`` for the flight recorder) into the
@@ -286,18 +240,15 @@ class TelemetrySnapshotter:
             return self
         self._started_at = time.time()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = self.path.open("a")
-        if fresh:
-            meta = {
-                "type": HEARTBEAT_META_TYPE,
-                "version": 1,
-                "period_seconds": self.period,
-                "started_at": self._started_at,
-                "pid": os.getpid(),
-            }
-            self._fh.write(json.dumps(meta) + "\n")
-            self._fh.flush()
+        self._fh = self.path.open("w")
+        meta = {
+            "type": "meta",
+            "period_seconds": self.period,
+            "started_at": self._started_at,
+            "pid": os.getpid(),
+        }
+        self._fh.write(json.dumps(meta) + "\n")
+        self._fh.flush()
         self._thread = threading.Thread(
             target=self._loop, name="repro-heartbeat", daemon=True
         )
@@ -309,7 +260,7 @@ class TelemetrySnapshotter:
             self.beat()
 
     def beat(self) -> None:
-        """Write one heartbeat row (thread-safe; also callable directly)."""
+        """Write one ``metrics`` row (thread-safe; also callable directly)."""
         t0 = time.perf_counter()
         if self.tracer is not None:
             self.registry.gauge("obs.overhead_seconds").set(
@@ -324,7 +275,7 @@ class TelemetrySnapshotter:
         )
         now = time.time()
         row = {
-            "type": "heartbeat",
+            "type": "metrics",
             "seq": self.beats,
             "ts": now,
             "uptime_seconds": now - self._started_at,
@@ -372,19 +323,14 @@ def parse_heartbeat_spec(spec: str) -> tuple[Path, float]:
 
 
 def read_heartbeats(path: str | Path) -> tuple[dict, list[dict]]:
-    """Load a heartbeat JSONL: ``(meta row, beat rows in file order)``."""
+    """Load a heartbeat JSONL: ``(meta row, metrics rows in file order)``."""
     meta: dict = {}
     rows: list[dict] = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if row.get("type") == HEARTBEAT_META_TYPE:
-                meta = row
-            elif row.get("type") == "heartbeat":
-                rows.append(row)
+    for row in read_jsonl_rows(path):
+        if row.get("type") == "meta":
+            meta = row
+        elif row.get("type") == "metrics":
+            rows.append(row)
     return meta, rows
 
 

@@ -57,10 +57,8 @@ Histograms
 (at most ``_MAX_BUCKET - _MIN_BUCKET + 2`` sparse buckets, in practice a
 few dozen), supporting :meth:`~Histogram.quantile` and
 :meth:`~Histogram.merge` with ~9% relative bucket resolution (4 buckets
-per power of two).  Snapshots keep the historical
-``count/total/min/max/mean`` keys and add ``buckets``;
-:meth:`MetricsRegistry.merge_snapshot` still reads old-style ``values``
-lists as an alias for individual observations.
+per power of two).  Snapshots carry ``count/total/min/max/mean`` and
+the ``buckets`` map.
 
 Workers in other processes collect into their own registry and ship
 :meth:`MetricsRegistry.snapshot` back with their results; the parent
@@ -121,23 +119,14 @@ def quantile_from_snapshot(h: Mapping, q: float) -> float:
     """Quantile estimate from a snapshotted histogram dict.
 
     Accepts the wire format of :meth:`MetricsRegistry.snapshot` (and any
-    heartbeat row carrying it).  Without a ``buckets`` key — an old-style
-    summary — falls back to the mean for interior quantiles and min/max
-    at the extremes.
+    heartbeat ``metrics`` row carrying it).
     """
     count = int(h.get("count", 0) or 0)
     if count <= 0:
         return 0.0
-    buckets = h.get("buckets")
     vmin = float(h.get("min", 0.0))
     vmax = float(h.get("max", vmin))
-    if not buckets:
-        if q <= 0.0:
-            return vmin
-        if q >= 1.0:
-            return vmax
-        return float(h.get("mean", 0.0))
-    counts = {int(k): int(v) for k, v in buckets.items()}
+    counts = {int(k): int(v) for k, v in h["buckets"].items()}
     return _quantile_from_buckets(counts, count, vmin, vmax, q)
 
 
@@ -312,8 +301,6 @@ class MetricsRegistry:
         Counters and histograms accumulate; gauges take the incoming
         value (last write wins, matching local semantics).  Labeled keys
         pass through verbatim, so per-session series merge losslessly.
-        Histograms in the old list form (a ``values`` key) are replayed
-        observation by observation.
         """
         if not snap:
             return
@@ -323,18 +310,12 @@ class MetricsRegistry:
             self.gauge(name).set(value)
         for name, h in snap.get("histograms", {}).items():
             hist = self.histogram(name)
-            values = h.get("values")
-            if values is not None:
-                # Pre-streaming snapshots stored raw observation lists.
-                for v in values:
-                    hist.observe(float(v))
-                continue
-            if h.get("count", 0):
+            if h["count"]:
                 hist.count += int(h["count"])
                 hist.total += float(h["total"])
                 hist.vmin = min(hist.vmin, float(h["min"]))
                 hist.vmax = max(hist.vmax, float(h["max"]))
-                for k, n in (h.get("buckets") or {}).items():
+                for k, n in h["buckets"].items():
                     idx = int(k)
                     hist.buckets[idx] = hist.buckets.get(idx, 0) + int(n)
 

@@ -2,14 +2,19 @@
 
 A :class:`Tracer` collects :class:`Span` records — named, attributed,
 wall-clock-bracketed regions — and :class:`Instant` annotations (point
-events such as an injected fault, a regularization retry, or a checkpoint
-write).  Activation follows the same pattern as kernel recording and
-fault injection: a contextvar-scoped active tracer
-(:func:`tracing` / :func:`current_tracer`) that hook sites query.  With
-no active tracer every hook is one contextvar read and the solve path is
+events such as an injected fault, a regularization retry or a worker
+resubmission).  Activation follows the same pattern as kernel recording
+and fault injection: a contextvar-scoped active tracer
+(:func:`tracing` / :func:`current_tracer`) that hook sites query.
+
+The module-level hooks :func:`span` and :func:`instant` also feed the
+active flight recorder (:class:`repro.obs.live.FlightRecorder`, a
+bounded Tracer).  With a tracer active, the recorder keeps the very
+records that tracer commits; without one, the recorder is the collector.
+With neither, a hook is two contextvar reads and the solve path is
 bit-identical to an uninstrumented build.
 
-Nesting is tracked through a second contextvar holding the current
+Nesting is tracked through a third contextvar holding the current
 parent span id, so spans opened anywhere in the dynamic extent of an
 enclosing span — including across ``await``-free helper calls and kernel
 wrappers — parent correctly: cycle → node → batch → kernel.
@@ -18,12 +23,13 @@ Crossing executor boundaries
 ----------------------------
 Contextvars do not propagate into pool threads or worker processes, and
 ``time.perf_counter`` epochs differ between processes.  Workers therefore
-run their task under a *local* collecting tracer and ship
-:meth:`Tracer.payload` back with their result; the parent grafts it in
-with :meth:`Tracer.merge`, which re-bases timestamps using each tracer's
-recorded wall-clock epoch and re-parents the worker's root spans under
-the dispatching span.  Worker spans keep their own ``pid``/``tid``, which
-is what gives the Chrome-trace exporter one lane per worker.
+run their task under a *local* collecting tracer (and flight ring) and
+ship :meth:`Tracer.payload` back with their result; the parent grafts it
+in with :meth:`Tracer.merge`, which re-bases timestamps using each
+tracer's recorded wall-clock epoch and re-parents the worker's root
+spans under the dispatching ``cycle`` span.  Worker spans keep their own
+``pid``/``tid``, which is what gives the Chrome-trace exporter one lane
+per worker.
 """
 
 from __future__ import annotations
@@ -37,8 +43,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.obs.live import current_flight_recorder
 from repro.util.timer import WallClock, wall_clock
+
+#: One span-id sequence for every live tracer in the process, so a flight
+#: recorder that keeps another tracer's records beside its own (and
+#: beside merged worker records) never holds two spans with one id.
+_IDS = itertools.count(1)
 
 
 @dataclass
@@ -68,7 +78,7 @@ class Span:
 
 @dataclass
 class Instant:
-    """A point-in-time annotation (fault injected, retry, checkpoint...)."""
+    """A point-in-time annotation (fault injected, retry, resubmission...)."""
 
     name: str
     cat: str
@@ -102,15 +112,20 @@ class Tracer:
         #: weigh observability overhead against the recorded timeline.
         self.overhead_seconds = 0.0
         self._lock = threading.Lock()
-        self._ids = itertools.count(1)
+        self._ids = _IDS
 
     def _new_id(self) -> int:
-        with self._lock:
-            return next(self._ids)
+        return next(self._ids)
+
+    def _keep(self, record: Span | Instant) -> None:
+        """Commit one finished record; the caller holds ``_lock``."""
+        if isinstance(record, Span):
+            self.spans.append(record)
+        else:
+            self.instants.append(record)
 
     # ------------------------------------------------------------ recording
-    @contextmanager
-    def span(self, name: str, cat: str = "solve", **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, cat: str = "solve", **attrs: Any):
         """Open a span for the dynamic extent of the block.
 
         Yields the in-progress :class:`Span` so callers can add attributes
@@ -118,32 +133,31 @@ class Tracer:
         work ran).  The span is committed on exit even when the block
         raises, so failed regions still appear on the timeline.
         """
-        t_open = self.clock.now()
+        return self._span(name, cat, attrs)
+
+    @contextmanager
+    def _span(self, name, cat, attrs, ring=None) -> Iterator[Span]:
+        """:meth:`span`, also handing the committed span to ``ring``."""
+        now = self.clock.now
+        t_open = now()
         sp = Span(
-            name=name,
-            cat=cat,
-            start=t_open,
-            end=0.0,
-            attrs=dict(attrs),
-            span_id=self._new_id(),
-            parent_id=_PARENT.get(),
-            pid=os.getpid(),
-            tid=threading.get_ident(),
+            name, cat, t_open, 0.0, attrs, next(self._ids), _PARENT.get(),
+            os.getpid(), threading.get_ident(),
         )
         token = _PARENT.set(sp.span_id)
         # Enter-side bookkeeping happened between t_open and here; start
         # the span after it so record cost is excluded from the region.
-        sp.start = self.clock.now()
+        sp.start = now()
         try:
             yield sp
         finally:
             _PARENT.reset(token)
-            sp.end = self.clock.now()
+            sp.end = now()
             with self._lock:
-                self.spans.append(sp)
-                self.overhead_seconds += (sp.start - t_open) + (
-                    self.clock.now() - sp.end
-                )
+                self._keep(sp)
+                self.overhead_seconds += (sp.start - t_open) + (now() - sp.end)
+            if ring is not None:
+                ring.keep(sp)
 
     def complete(
         self, name: str, cat: str, start: float, end: float, **attrs: Any
@@ -151,18 +165,11 @@ class Tracer:
         """Record an already-timed region (used by the kernel wrappers)."""
         t0 = self.clock.now()
         sp = Span(
-            name=name,
-            cat=cat,
-            start=start,
-            end=end,
-            attrs=dict(attrs),
-            span_id=self._new_id(),
-            parent_id=_PARENT.get(),
-            pid=os.getpid(),
-            tid=threading.get_ident(),
+            name, cat, start, end, attrs, next(self._ids), _PARENT.get(),
+            os.getpid(), threading.get_ident(),
         )
         with self._lock:
-            self.spans.append(sp)
+            self._keep(sp)
             self.overhead_seconds += self.clock.now() - t0
         return sp
 
@@ -170,16 +177,10 @@ class Tracer:
         """Record a point annotation at the current time."""
         t0 = self.clock.now()
         ev = Instant(
-            name=name,
-            cat=cat,
-            ts=t0,
-            attrs=dict(attrs),
-            parent_id=_PARENT.get(),
-            pid=os.getpid(),
-            tid=threading.get_ident(),
+            name, cat, t0, attrs, _PARENT.get(), os.getpid(), threading.get_ident()
         )
         with self._lock:
-            self.instants.append(ev)
+            self._keep(ev)
             self.overhead_seconds += self.clock.now() - t0
         return ev
 
@@ -208,7 +209,7 @@ class Tracer:
         with self._lock:
             self.overhead_seconds += float(payload.get("overhead_seconds", 0.0))
             for sp in payload["spans"]:
-                self.spans.append(
+                self._keep(
                     Span(
                         name=sp.name,
                         cat=sp.cat,
@@ -222,7 +223,7 @@ class Tracer:
                     )
                 )
             for ev in payload["instants"]:
-                self.instants.append(
+                self._keep(
                     Instant(
                         name=ev.name,
                         cat=ev.cat,
@@ -261,6 +262,8 @@ class Tracer:
 # ----------------------------------------------------------- active context
 _TRACER: ContextVar[Tracer | None] = ContextVar("repro_obs_tracer", default=None)
 _PARENT: ContextVar[int | None] = ContextVar("repro_obs_parent", default=None)
+#: The active flight recorder (:func:`repro.obs.live.flight_recording`).
+_RECORDER: ContextVar[Any] = ContextVar("repro_obs_flight", default=None)
 
 #: Shared reusable no-op context manager returned when tracing is off.
 _NULL_SPAN = nullcontext()
@@ -269,6 +272,11 @@ _NULL_SPAN = nullcontext()
 def current_tracer() -> Tracer | None:
     """The tracer hook sites should consult, or ``None`` (the default)."""
     return _TRACER.get()
+
+
+def current_flight_recorder():
+    """The flight recorder the hooks feed, or ``None`` (the default)."""
+    return _RECORDER.get()
 
 
 @contextmanager
@@ -299,60 +307,34 @@ def tracing(tracer: Tracer | None = None) -> Iterator[Tracer]:
 def span(name: str, cat: str = "solve", **attrs: Any):
     """Module-level span hook: records on the active tracer, or no-ops.
 
-    Always usable as ``with span(...) as sp``; ``sp`` is ``None`` when no
-    tracer is active, so callers adding mid-span attributes must guard.
-    When a flight recorder is active (with or without a tracer) the span
-    is additionally mirrored into its ring on exit, with duration.
+    Always usable as ``with span(...) as sp``; ``sp`` is ``None`` when
+    neither a tracer nor a flight recorder is active, so callers adding
+    mid-span attributes must guard.  An active flight recorder keeps the
+    committed span: the tracer's own record, or, with no tracer, one the
+    recorder makes itself.
     """
     tr = _TRACER.get()
-    rec = current_flight_recorder()
-    if rec is None:
-        if tr is None:
+    rec = _RECORDER.get()
+    if tr is None:
+        if rec is None:
             return _NULL_SPAN
-        return tr.span(name, cat, **attrs)
-    return _recorded_span(tr, rec, name, cat, attrs)
-
-
-@contextmanager
-def _recorded_span(tracer, recorder, name, cat, attrs):
-    """Span hook path with an active flight recorder.
-
-    Mid-span attributes added through the yielded span object make it
-    into the flight event (the recorder reads ``sp.attrs`` at exit).
-    """
-    t0 = time.perf_counter()
-    if tracer is None:
-        try:
-            yield None
-        finally:
-            recorder.record(
-                "span", name, cat, attrs, duration=time.perf_counter() - t0
-            )
-    else:
-        sp = None
-        try:
-            with tracer.span(name, cat, **attrs) as sp:
-                yield sp
-        finally:
-            recorder.record(
-                "span",
-                name,
-                cat,
-                sp.attrs if sp is not None else attrs,
-                duration=time.perf_counter() - t0,
-            )
+        return rec._span(name, cat, attrs)
+    return tr._span(name, cat, attrs, rec)
 
 
 def instant(name: str, cat: str = "annotation", **attrs: Any) -> None:
     """Module-level instant hook: records on the active tracer, or no-ops.
 
-    An active flight recorder also receives the instant — this is the
-    choke point that lets forensic triggers (terminal batch failures,
-    quarantine, pool rebuilds) dump the ring even when tracing is off.
+    An active flight recorder keeps the instant too and checks it against
+    its forensic triggers — the choke point that lets terminal batch
+    failures, quarantines and pool rebuilds dump the ring even when
+    tracing is off.
     """
     tr = _TRACER.get()
+    rec = _RECORDER.get()
     if tr is not None:
-        tr.instant(name, cat, **attrs)
-    rec = current_flight_recorder()
-    if rec is not None:
-        rec.record("instant", name, cat, attrs)
+        ev = tr.instant(name, cat, **attrs)
+        if rec is not None:
+            rec.keep(ev)
+    elif rec is not None:
+        rec.instant(name, cat, **attrs)

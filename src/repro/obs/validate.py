@@ -1,23 +1,28 @@
-"""Exported-trace schema validation: Chrome trace-event JSON and spans JSONL.
+"""Exported-trace schema validation: the JSONL record schema and Chrome JSON.
 
-Checks the invariants the exporters guarantee and that downstream
-consumers depend on.  For Chrome traces: every ``B`` has a matching
-``E`` in its lane, lanes use consistent integer ``pid``/``tid``,
-timestamps are non-negative and non-decreasing within a lane's duration
-events, and instant events carry a valid scope.  For spans-JSONL files
-(:func:`repro.obs.export.write_spans_jsonl`): well-typed rows sorted by
-start time, unique span ids, resolvable parent references, JSON-scalar
-attributes, and — the cross-process merge invariant — spans sharing a
-``(pid, tid)`` lane must properly nest, never partially overlap, even
-when their parents live in another lane.  Flight-recorder dumps and
-heartbeat files from :mod:`repro.obs.live` are validated too, routed by
-their typed header row.  Runnable as a module for the CI smoke step; the
-file format is picked by extension (``.jsonl`` → typed JSONL: spans log,
-flight dump or heartbeat by header; anything else → Chrome JSON)::
+Every ``.jsonl`` artifact :mod:`repro.obs` writes — a spans log, a
+flight dump, a heartbeat — is one schema (:mod:`repro.obs.export`), and
+:func:`validate_spans_jsonl` checks all of it: one ``meta`` row first;
+``span``/``instant`` rows well typed, sorted by start time, with unique
+span ids, resolvable parent references, JSON-scalar attributes and — the
+cross-process merge invariant — spans sharing a ``(pid, tid)`` lane
+properly nested, never partially overlapping, even when their parents
+live in another lane; a flight dump's ``meta`` accounting matching its
+rows; and ``metrics`` rows (heartbeat beats) with strictly increasing
+``seq``, non-decreasing ``ts`` and well-formed registry snapshots.
+
+Chrome trace-event JSON is a write-only view for Perfetto; for it every
+``B`` has a matching ``E`` in its lane, lanes use consistent integer
+``pid``/``tid``, timestamps are non-negative and non-decreasing within a
+lane's duration events, and instant events carry a valid scope.
+
+Runnable as a module for the CI smoke steps; the format is picked by
+extension (``.jsonl`` → the JSONL schema, anything else → Chrome JSON)::
 
     python -m repro.obs.validate trace.json --require-depth 4 \\
         --expect-name cycle --expect-name batch
     python -m repro.obs.validate spans.jsonl --expect-name node
+    python -m repro.obs.validate hb.jsonl
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
+
+from repro.obs.export import read_jsonl_rows
 
 _PHASES = {"B", "E", "X", "i", "M"}
 
@@ -118,41 +126,64 @@ def trace_stats(doc: dict) -> dict:
 _SCALAR = (str, int, float, bool, type(None))
 
 
-def validate_spans_jsonl(rows: list[object]) -> list[str]:
-    """Return schema problems for parsed spans-JSONL rows (empty = valid).
+def _is_number(v: object) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    ``rows`` is the parsed file: one dict per line, in file order.
-    Beyond per-row typing this enforces the invariants the exporter and
-    the cross-process merge guarantee together: rows sorted by
-    start/instant time, span ids unique, parent ids resolvable within
-    the file, and per-lane proper nesting — two spans on one ``(pid,
-    tid)`` lane are either disjoint or one contains the other, which is
-    what makes per-worker busy-time attribution well defined.
+
+def validate_spans_jsonl(rows: list[object]) -> list[str]:
+    """Return schema problems for parsed JSONL rows (empty = valid).
+
+    ``rows`` is the parsed file: one dict per line, in file order.  Beyond
+    per-row typing this enforces the invariants the writers and the
+    cross-process merge guarantee together: ``span``/``instant`` rows
+    sorted by start/instant time, span ids unique, parent ids resolvable
+    within the file, and per-lane proper nesting — two spans on one
+    ``(pid, tid)`` lane are either disjoint or one contains the other,
+    which is what makes per-worker busy-time attribution well defined.
+    A flight dump's ``meta`` row (it names a ``reason``) must account for
+    its rows: ``events = recorded - dropped`` = the number of
+    ``span``/``instant`` rows.  A heartbeat's (it names
+    ``period_seconds``) must be followed by ``metrics`` rows.
     """
+    if not rows or not isinstance(rows[0], dict) or rows[0].get("type") != "meta":
+        return ["row 0: the first row must be the meta row"]
     problems: list[str] = []
     span_ids: set[int] = set()
     parent_refs: list[tuple[int, object]] = []
     lanes: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
     prev_key = None
-    for i, row in enumerate(rows):
+    events = beats = 0
+    prev_seq = prev_ts = None
+    for i, row in enumerate(rows[1:], start=1):
         where = f"row {i}"
         if not isinstance(row, dict):
             problems.append(f"{where}: not an object")
             continue
         kind = row.get("type")
-        if kind == "meta":
-            # Header row carrying tracer self-cost; no timestamp, so it
-            # participates in neither the sort nor the nesting sweep.
-            v = row.get("obs_overhead_seconds", 0.0)
-            if not isinstance(v, (int, float)) or v < 0:
-                problems.append(
-                    f"{where}: meta obs_overhead_seconds must be a "
-                    "non-negative number"
-                )
+        if kind == "metrics":
+            beats += 1
+            seq, ts = row.get("seq"), row.get("ts")
+            if not isinstance(seq, int) or seq < 0:
+                problems.append(f"{where}: seq must be a non-negative integer")
+            elif prev_seq is not None and seq <= prev_seq:
+                problems.append(f"{where}: seq must be strictly increasing")
+            else:
+                prev_seq = seq
+            if not _is_number(ts):
+                problems.append(f"{where}: needs a numeric ts")
+            elif prev_ts is not None and ts < prev_ts:
+                problems.append(f"{where}: ts must be non-decreasing")
+            else:
+                prev_ts = ts
+            uptime = row.get("uptime_seconds")
+            if not _is_number(uptime) or uptime < 0:
+                problems.append(f"{where}: uptime_seconds must be non-negative")
+            problems.extend(_snapshot_problems(where, row.get("metrics")))
             continue
         if kind not in ("span", "instant"):
             problems.append(f"{where}: unknown or missing type {kind!r}")
             continue
+        events += 1
         if not isinstance(row.get("name"), str) or not row["name"]:
             problems.append(f"{where}: needs a non-empty string name")
         if not isinstance(row.get("pid"), int) or not isinstance(row.get("tid"), int):
@@ -177,15 +208,13 @@ def validate_spans_jsonl(rows: list[object]) -> list[str]:
                     )
         if kind == "span":
             start, end = row.get("start"), row.get("end")
-            if not isinstance(start, (int, float)) or not isinstance(
-                end, (int, float)
-            ):
+            if not _is_number(start) or not _is_number(end):
                 problems.append(f"{where}: span needs numeric start/end")
                 continue
             if end < start:
                 problems.append(f"{where}: span ends ({end}) before it starts ({start})")
             dur = row.get("dur")
-            if isinstance(dur, (int, float)) and abs(dur - (end - start)) > 1e-9:
+            if _is_number(dur) and abs(dur - (end - start)) > 1e-9:
                 problems.append(f"{where}: dur {dur} != end - start")
             sid = row.get("span_id")
             if not isinstance(sid, int):
@@ -195,17 +224,12 @@ def validate_spans_jsonl(rows: list[object]) -> list[str]:
             else:
                 span_ids.add(sid)
             key = float(start)
-            # Wavefront spans are post-hoc interval annotations over the
-            # dispatch timeline; under barrier-free dependency dispatch
-            # consecutive wavefronts overlap by design, so they are not
-            # part of any lane's call stack and skip the nesting check.
-            if not str(row.get("name", "")).startswith("wavefront["):
-                lanes.setdefault((row["pid"], row["tid"]), []).append(
-                    (float(start), float(end), i)
-                )
+            lanes.setdefault((row["pid"], row["tid"]), []).append(
+                (float(start), float(end), i)
+            )
         else:
             ts = row.get("ts")
-            if not isinstance(ts, (int, float)):
+            if not _is_number(ts):
                 problems.append(f"{where}: instant needs a numeric ts")
                 continue
             key = float(ts)
@@ -237,11 +261,88 @@ def validate_spans_jsonl(rows: list[object]) -> list[str]:
                     f"in lane {lane}"
                 )
             stack.append((start, end, i))
+    return _meta_problems(rows[0], events, beats) + problems
+
+
+def _meta_problems(meta: dict, events: int, beats: int) -> list[str]:
+    """Problems with the meta row of a file holding ``events`` span/instant
+    rows and ``beats`` metrics rows."""
+    problems = []
+    for key in ("epoch", "dumped_at", "started_at"):
+        if key in meta and not _is_number(meta[key]):
+            problems.append(f"meta: {key} must be a number")
+    v = meta.get("obs_overhead_seconds", 0.0)
+    if not _is_number(v) or v < 0:
+        problems.append("meta: obs_overhead_seconds must be a non-negative number")
+    if "period_seconds" in meta:
+        period = meta["period_seconds"]
+        if not _is_number(period) or period <= 0:
+            problems.append("meta: period_seconds must be positive")
+        if beats == 0:
+            problems.append("meta: a heartbeat needs metrics rows")
+    if "reason" in meta:
+        if not isinstance(meta["reason"], str) or not meta["reason"]:
+            problems.append("meta: a dump needs a non-empty reason")
+        keys = ("capacity", "recorded", "dropped", "events")
+        bad = [k for k in keys if not isinstance(meta.get(k), int) or meta[k] < 0]
+        problems += [f"meta: {k} must be a non-negative integer" for k in bad]
+        if not bad and not meta["events"] == meta["recorded"] - meta["dropped"] == events:
+            problems.append(
+                f"meta: events {meta['events']} = recorded {meta['recorded']} "
+                f"- dropped {meta['dropped']} must equal the {events} "
+                "span/instant rows"
+            )
+    return problems
+
+
+def _snapshot_problems(where: str, metrics: object) -> list[str]:
+    """Problems with one registry snapshot (:meth:`MetricsRegistry.snapshot`)."""
+    if not isinstance(metrics, dict):
+        return [f"{where}: needs a metrics snapshot object"]
+    problems = []
+    for section in ("counters", "gauges"):
+        block = metrics.get(section, {})
+        if not isinstance(block, dict):
+            problems.append(f"{where}: metrics.{section} must be an object")
+            continue
+        for name, value in block.items():
+            if not _is_number(value):
+                problems.append(f"{where}: metrics.{section}[{name!r}] must be numeric")
+    hists = metrics.get("histograms", {})
+    if not isinstance(hists, dict):
+        return problems + [f"{where}: metrics.histograms must be an object"]
+    for name, h in hists.items():
+        what = f"{where}: histogram {name!r}"
+        count = h.get("count") if isinstance(h, dict) else None
+        buckets = h.get("buckets") if isinstance(h, dict) else None
+        if not isinstance(count, int) or count < 0:
+            problems.append(f"{what} count must be a non-negative integer")
+            continue
+        if not isinstance(buckets, dict):
+            problems.append(f"{what} needs a buckets object")
+            continue
+        total_n = 0
+        for key, n in buckets.items():
+            try:
+                int(key)
+            except (TypeError, ValueError):
+                problems.append(f"{what} bucket key {key!r} must be an integer")
+                continue
+            if not isinstance(n, int) or n < 0:
+                problems.append(
+                    f"{what} bucket {key} count must be a non-negative integer"
+                )
+                continue
+            total_n += n
+        if total_n != count:
+            problems.append(
+                f"{what} bucket counts sum to {total_n}, count says {count}"
+            )
     return problems
 
 
 def spans_jsonl_stats(rows: list[dict]) -> dict:
-    """Lane count, span count and maximum nesting depth of a valid spans log."""
+    """Lane count, span count and maximum nesting depth of a valid JSONL file."""
     span_rows = [r for r in rows if r.get("type") == "span"]
     lanes = {
         (r.get("pid"), r.get("tid"))
@@ -264,237 +365,14 @@ def spans_jsonl_stats(rows: list[dict]) -> dict:
     return {"lanes": len(lanes), "spans": len(span_rows), "max_depth": max_depth}
 
 
-def validate_flight_jsonl(rows: list[object]) -> list[str]:
-    """Schema problems for a flight-recorder dump (empty = valid).
-
-    Checks the invariants :meth:`repro.obs.live.FlightRecorder.dump`
-    guarantees: a versioned ``flight_meta`` header whose event count and
-    drop accounting match the body, followed by event rows sorted by
-    wall timestamp, each a span (with non-negative ``dur``) or instant
-    with scalar attrs.
-    """
-    problems: list[str] = []
-    if not rows:
-        return ["empty file"]
-    meta = rows[0]
-    if not isinstance(meta, dict) or meta.get("type") != "flight_meta":
-        return ["first row must be a flight_meta header"]
-    if meta.get("version") != 1:
-        problems.append("flight_meta version must be 1")
-    for key in ("capacity", "recorded", "dropped", "events"):
-        v = meta.get(key)
-        if not isinstance(v, int) or v < 0:
-            problems.append(f"flight_meta {key} must be a non-negative integer")
-    if not isinstance(meta.get("reason"), str) or not meta.get("reason"):
-        problems.append("flight_meta needs a non-empty reason")
-    overhead = meta.get("overhead_seconds", 0.0)
-    if not isinstance(overhead, (int, float)) or overhead < 0:
-        problems.append("flight_meta overhead_seconds must be non-negative")
-    body = rows[1:]
-    if isinstance(meta.get("events"), int) and meta["events"] != len(body):
-        problems.append(
-            f"flight_meta claims {meta['events']} events, file has {len(body)}"
-        )
-    if (
-        isinstance(meta.get("recorded"), int)
-        and isinstance(meta.get("dropped"), int)
-        and meta["recorded"] - meta["dropped"] != len(body)
-    ):
-        problems.append("flight_meta recorded - dropped != event count")
-    prev_ts = None
-    for i, row in enumerate(body, start=1):
-        where = f"row {i}"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        kind = row.get("kind")
-        if kind not in ("span", "instant"):
-            problems.append(f"{where}: kind must be span or instant, got {kind!r}")
-            continue
-        if not isinstance(row.get("name"), str) or not row["name"]:
-            problems.append(f"{where}: needs a non-empty string name")
-        ts = row.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"{where}: needs a numeric ts")
-            continue
-        if prev_ts is not None and ts < prev_ts:
-            problems.append(f"{where}: events not sorted by ts")
-        prev_ts = ts
-        if not isinstance(row.get("pid"), int):
-            problems.append(f"{where}: pid must be an integer")
-        if kind == "span":
-            dur = row.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                problems.append(f"{where}: span needs a non-negative dur")
-        attrs = row.get("attrs", {})
-        if not isinstance(attrs, dict):
-            problems.append(f"{where}: attrs must be an object")
-        else:
-            for key, value in attrs.items():
-                if not isinstance(value, _SCALAR):
-                    problems.append(
-                        f"{where}: attr {key!r} must be a JSON scalar, "
-                        f"got {type(value).__name__}"
-                    )
-    return problems
-
-
-def flight_jsonl_stats(rows: list[dict]) -> dict:
-    """Reason, event/trigger counts and pid fanout of a valid flight dump."""
-    meta = rows[0] if rows else {}
-    body = [r for r in rows[1:] if isinstance(r, dict)]
-    return {
-        "reason": meta.get("reason", "?"),
-        "events": len(body),
-        "spans": sum(1 for r in body if r.get("kind") == "span"),
-        "instants": sum(1 for r in body if r.get("kind") == "instant"),
-        "pids": len({r.get("pid") for r in body}),
-        "dropped": meta.get("dropped", 0),
-    }
-
-
-def validate_heartbeat_jsonl(rows: list[object]) -> list[str]:
-    """Schema problems for a heartbeat file (empty = valid).
-
-    Checks what :class:`repro.obs.live.TelemetrySnapshotter` guarantees:
-    a versioned ``heartbeat_meta`` header, then beat rows with strictly
-    increasing ``seq``, non-decreasing ``ts``/``uptime_seconds`` and a
-    well-formed embedded metrics snapshot (numeric counters/gauges,
-    histogram dicts with consistent counts and integer bucket keys).
-    """
-    problems: list[str] = []
-    if not rows:
-        return ["empty file"]
-    meta = rows[0]
-    if not isinstance(meta, dict) or meta.get("type") != "heartbeat_meta":
-        return ["first row must be a heartbeat_meta header"]
-    if meta.get("version") != 1:
-        problems.append("heartbeat_meta version must be 1")
-    period = meta.get("period_seconds")
-    if not isinstance(period, (int, float)) or period <= 0:
-        problems.append("heartbeat_meta period_seconds must be positive")
-    prev_seq = None
-    prev_ts = None
-    for i, row in enumerate(rows[1:], start=1):
-        where = f"row {i}"
-        if not isinstance(row, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        if row.get("type") != "heartbeat":
-            problems.append(f"{where}: type must be heartbeat")
-            continue
-        seq = row.get("seq")
-        if not isinstance(seq, int) or seq < 0:
-            problems.append(f"{where}: seq must be a non-negative integer")
-        elif prev_seq is not None and seq <= prev_seq:
-            problems.append(f"{where}: seq must be strictly increasing")
-        if isinstance(seq, int):
-            prev_seq = seq
-        ts = row.get("ts")
-        if not isinstance(ts, (int, float)):
-            problems.append(f"{where}: needs a numeric ts")
-        elif prev_ts is not None and ts < prev_ts:
-            problems.append(f"{where}: ts must be non-decreasing")
-        else:
-            prev_ts = ts
-        uptime = row.get("uptime_seconds")
-        if not isinstance(uptime, (int, float)) or uptime < 0:
-            problems.append(f"{where}: uptime_seconds must be non-negative")
-        metrics = row.get("metrics")
-        if not isinstance(metrics, dict):
-            problems.append(f"{where}: needs a metrics snapshot object")
-            continue
-        for section in ("counters", "gauges"):
-            block = metrics.get(section, {})
-            if not isinstance(block, dict):
-                problems.append(f"{where}: metrics.{section} must be an object")
-                continue
-            for name, value in block.items():
-                if not isinstance(value, (int, float)):
-                    problems.append(
-                        f"{where}: metrics.{section}[{name!r}] must be numeric"
-                    )
-        hists = metrics.get("histograms", {})
-        if not isinstance(hists, dict):
-            problems.append(f"{where}: metrics.histograms must be an object")
-            continue
-        for name, h in hists.items():
-            if not isinstance(h, dict):
-                problems.append(f"{where}: histogram {name!r} must be an object")
-                continue
-            count = h.get("count")
-            if not isinstance(count, int) or count < 0:
-                problems.append(
-                    f"{where}: histogram {name!r} count must be a "
-                    "non-negative integer"
-                )
-                continue
-            buckets = h.get("buckets")
-            if buckets is None:
-                continue
-            if not isinstance(buckets, dict):
-                problems.append(f"{where}: histogram {name!r} buckets must be an object")
-                continue
-            total_n = 0
-            for key, n in buckets.items():
-                try:
-                    int(key)
-                except (TypeError, ValueError):
-                    problems.append(
-                        f"{where}: histogram {name!r} bucket key {key!r} "
-                        "must be an integer"
-                    )
-                    continue
-                if not isinstance(n, int) or n < 0:
-                    problems.append(
-                        f"{where}: histogram {name!r} bucket {key} count "
-                        "must be a non-negative integer"
-                    )
-                    continue
-                total_n += n
-            if total_n != count:
-                problems.append(
-                    f"{where}: histogram {name!r} bucket counts sum to "
-                    f"{total_n}, count says {count}"
-                )
-    if prev_seq is None:
-        problems.append("heartbeat file has no beat rows")
-    return problems
-
-
-def heartbeat_jsonl_stats(rows: list[dict]) -> dict:
-    """Beat count, uptime and series count of a valid heartbeat file."""
-    beats = [r for r in rows[1:] if isinstance(r, dict)]
-    last = beats[-1] if beats else {}
-    metrics = last.get("metrics", {})
-    series = sum(
-        len(metrics.get(section, {}))
-        for section in ("counters", "gauges", "histograms")
-    )
-    return {
-        "beats": len(beats),
-        "uptime_seconds": float(last.get("uptime_seconds", 0.0)),
-        "series": series,
-    }
-
-
-def _read_jsonl_rows(path: Path) -> list[object]:
-    rows: list[object] = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.validate",
-        description="Validate an exported trace (Chrome JSON or spans JSONL)",
+        description="Validate an exported trace (.jsonl record schema or Chrome JSON)",
     )
     parser.add_argument(
-        "trace", help="path to the trace file (.jsonl = spans log)"
+        "trace",
+        help="path to the file (.jsonl = spans log, flight dump or heartbeat)",
     )
     parser.add_argument(
         "--require-depth",
@@ -509,43 +387,15 @@ def main(argv: list[str] | None = None) -> int:
         help="fail unless a span with this name prefix exists (repeatable)",
     )
     args = parser.parse_args(argv)
-    path = Path(args.trace)
-    is_jsonl = path.suffix == ".jsonl"
+    is_jsonl = Path(args.trace).suffix == ".jsonl"
     try:
         if is_jsonl:
-            rows = _read_jsonl_rows(path)
+            rows = read_jsonl_rows(args.trace)
         else:
-            doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.loads(Path(args.trace).read_text())
+    except (OSError, ValueError) as exc:
         print(f"unreadable trace {args.trace}: {exc}", file=sys.stderr)
         return 1
-    if is_jsonl and rows and isinstance(rows[0], dict):
-        first_type = rows[0].get("type")
-        if first_type == "flight_meta":
-            problems = validate_flight_jsonl(rows)
-            for problem in problems:
-                print(f"INVALID {problem}", file=sys.stderr)
-            if problems:
-                return 1
-            stats = flight_jsonl_stats(rows)
-            print(
-                f"valid flight dump ({stats['reason']}): {stats['events']} events "
-                f"({stats['spans']} spans, {stats['instants']} instants) from "
-                f"{stats['pids']} pids, {stats['dropped']} dropped"
-            )
-            return 0
-        if first_type == "heartbeat_meta":
-            problems = validate_heartbeat_jsonl(rows)
-            for problem in problems:
-                print(f"INVALID {problem}", file=sys.stderr)
-            if problems:
-                return 1
-            stats = heartbeat_jsonl_stats(rows)
-            print(
-                f"valid heartbeat: {stats['beats']} beats over "
-                f"{stats['uptime_seconds']:.1f}s, {stats['series']} series"
-            )
-            return 0
     problems = validate_spans_jsonl(rows) if is_jsonl else validate_chrome_trace(doc)
     for problem in problems:
         print(f"INVALID {problem}", file=sys.stderr)
@@ -554,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     if is_jsonl:
         stats = spans_jsonl_stats(rows)
         names = {r["name"] for r in rows if r.get("type") == "span"}
+        kinds = Counter(r["type"] for r in rows[1:])
+        extra = f", {kinds['instant']} instants, {kinds['metrics']} metrics rows"
     else:
         stats = trace_stats(doc)
         names = {
@@ -561,6 +413,7 @@ def main(argv: list[str] | None = None) -> int:
             for ev in doc["traceEvents"]
             if ev.get("ph") == "B"
         }
+        extra = ""
     for expected in args.expect_name:
         if not any(name.startswith(expected) for name in names):
             print(f"INVALID no span named {expected!r} in trace", file=sys.stderr)
@@ -574,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"valid: {stats['spans']} spans across {stats['lanes']} lanes, "
-        f"max depth {stats['max_depth']}"
+        f"max depth {stats['max_depth']}{extra}"
     )
     return 0
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
+import threading
+import time
 from typing import Callable, TypeVar
 
 from repro import obs
@@ -46,6 +48,25 @@ def _call_with_faults(fn: Callable[[T], R], item: T, crash: bool, mode: str) -> 
             os._exit(113)  # hard death: the process pool loses this worker
         raise WorkerCrashError("injected worker crash")
     return fn(item)
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once the process that started it dies.
+
+    A dispatcher killed with SIGKILL cannot shut its pool down.  Orphaned
+    workers would live on and keep the resource tracker alive, and with
+    it every shared-memory segment the dispatcher created; once they
+    exit, the tracker unlinks those segments.  A daemon thread polls the
+    parent pid twice a second.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 class Executor(abc.ABC):
@@ -136,6 +157,8 @@ class ProcessExecutor(Executor):
     ``crash_mode="kill"`` fault) breaks the whole ``concurrent.futures``
     pool: every unfinished future fails with ``BrokenProcessPool``, and
     :meth:`recover` rebuilds the pool for the caller's resubmissions.
+    Workers exit on their own when the dispatching process dies
+    (:func:`_exit_with_parent`).
     """
 
     needs_pickling = True
@@ -145,7 +168,12 @@ class ProcessExecutor(Executor):
             raise ValueError("n_workers must be >= 1")
         self.n_workers = n_workers
         self.max_resubmits = max_resubmits
-        self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.n_workers, initializer=_exit_with_parent
+        )
 
     def submit(self, fn, item, crash=False):
         injector = current_injector()
@@ -159,9 +187,7 @@ class ProcessExecutor(Executor):
             "executor.pool_rebuild", cat="executor", workers=self.n_workers
         )
         self._pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.n_workers
-        )
+        self._pool = self._new_pool()
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

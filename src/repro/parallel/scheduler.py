@@ -14,8 +14,9 @@ extracted prior, a parent's its children's posteriors, and the worker
 builds the node's prior itself with the serial solver's
 :meth:`~repro.core.state.StructureEstimate.block_diagonal`.  Each worker
 records its own kernel events — and, when the dispatching solve is being
-traced, its own spans and metrics — and ships them back for merged
-per-node profiles.  Worker spans keep the worker's pid/tid, which is
+traced or flight-recorded, its own spans, metrics and flight ring — and
+ships them back; the dispatcher merges each under the ``cycle`` span as
+it takes the result.  Worker spans keep the worker's pid/tid, which is
 what gives the exported Chrome trace one lane per worker.  With a
 pickling backend the estimate arrays themselves do not ride in the task
 at all: every node writes its posterior into its segment on a
@@ -83,8 +84,8 @@ class _NodeTask:
     collect_metrics: bool = False
     parent_nid: int = -1
     #: Mirror the dispatching side's flight recorder: the worker runs a
-    #: local ring and ships it home in the obs payload (``absorb`` on the
-    #: parent re-fires any forensic triggers the worker saw).
+    #: local ring and ships it home in the obs payload (the parent's
+    #: ``merge`` re-fires any forensic triggers the worker saw).
     flight: bool = False
     #: Label set (session id, backend...) stamped onto the worker's
     #: per-task metric series, so per-session counters survive the trip.
@@ -302,13 +303,15 @@ class ParallelHierarchicalSolver:
                 backend=type(self.executor).__name__,
                 nodes=len(self.hierarchy.nodes),
                 rows=self.n_constraint_rows,
-            ), total:
+            ) as cycle, total:
                 obs.set_gauge(
                     "sched.workers",
                     float(max(1, getattr(self.executor, "n_workers", 1))),
                 )
+                cycle_id = None if cycle is None else cycle.span_id
                 self._run_dependency(
-                    estimate, node_results, records, merged, plane, dirty, cache
+                    estimate, node_results, records, merged, plane, dirty, cache,
+                    cycle_id,
                 )
         finally:
             if plane is not None:
@@ -348,6 +351,7 @@ class ParallelHierarchicalSolver:
         plane: SharedEstimatePlane | None,
         dirty: "frozenset[int] | set[int] | None" = None,
         cache=None,
+        cycle_id: int | None = None,
     ) -> None:
         """Submit a node the moment its last child has completed.
 
@@ -361,12 +365,10 @@ class ParallelHierarchicalSolver:
         process pool) are resubmitted per task, bounded by the executor's
         ``max_resubmits``; a broken pool is rebuilt once per break via
         :meth:`~repro.parallel.executors.Executor.recover`, and every
-        task still on it is lost with it.
+        task still on it is lost with it.  Worker obs payloads are merged
+        under the ``cycle`` span ``cycle_id``.
         """
-        tracer = obs.current_tracer()
-        registry = obs.current_metrics()
         injector = current_injector()
-        heights = self.hierarchy.heights()
         nodes = {n.nid: n for n in self.hierarchy.nodes}
         waiting = {
             n.nid: (
@@ -377,11 +379,6 @@ class ParallelHierarchicalSolver:
             for n in self.hierarchy.nodes
             if not n.is_leaf
         }
-        # Per-height span windows + buffered worker trace payloads: heights
-        # never gate dispatch, but the trace keeps them as a reporting
-        # grouping (completed post-hoc).
-        windows: dict[int, list[float]] = {}
-        buffered: dict[int, list[dict]] = {}
         # Each future's task, resubmit round and pool generation.
         pending: dict[concurrent.futures.Future, tuple[_NodeTask, int, int]] = {}
         pool = 0  # generation of the executor's pool: +1 per rebuild
@@ -414,11 +411,6 @@ class ParallelHierarchicalSolver:
                 rebuild()
                 future = self.executor.submit(_run_node_task, task, crash=crash)
             pending[future] = (task, resubmits, pool)
-            if tracer is not None:
-                h = heights[task.nid]
-                now = tracer.clock.now()
-                lo, hi = windows.get(h, (now, now))
-                windows[h] = [min(lo, now), max(hi, now)]
 
         for node in self.hierarchy.post_order():
             if dirty is not None:
@@ -450,21 +442,8 @@ class ParallelHierarchicalSolver:
                     continue
                 node = nodes[task.nid]
                 self._ingest(
-                    task,
-                    result,
-                    plane,
-                    node_results,
-                    records,
-                    merged,
-                    registry,
-                    tracer,
-                    trace_buffer=buffered.setdefault(heights[task.nid], []),
-                    cache=cache,
+                    task, result, plane, node_results, records, merged, cycle_id, cache
                 )
-                if tracer is not None:
-                    h = heights[task.nid]
-                    now = tracer.clock.now()
-                    windows[h][1] = max(windows[h][1], now)
                 parent = node.parent
                 if parent is not None and (dirty is None or parent.nid in dirty):
                     waiting[parent.nid] -= 1
@@ -498,29 +477,6 @@ class ParallelHierarchicalSolver:
                     )
                 submit(nodes[task.nid], resubmits, task=task)
             obs.set_gauge("sched.inflight", float(len(pending)))
-        self._complete_windows(tracer, windows, buffered)
-
-    def _complete_windows(
-        self,
-        tracer,
-        windows: dict[int, list[float]],
-        buffered: dict[int, list[dict]],
-    ) -> None:
-        """Post-hoc per-height ``wavefront[h]`` trace spans (reporting only)."""
-        if tracer is None:
-            return
-        fronts = self.hierarchy.wavefronts()
-        for h in sorted(windows):
-            start, end = windows[h]
-            wf = tracer.complete(
-                f"wavefront[{h}]",
-                "solve",
-                start,
-                end,
-                nodes=len(fronts[h]),
-            )
-            for payload in buffered.get(h, []):
-                tracer.merge(payload, parent_id=wf.span_id)
 
     # ----------------------------------------------------------- plumbing
     def _ingest(
@@ -531,9 +487,7 @@ class ParallelHierarchicalSolver:
         node_results: dict[int, StructureEstimate | EstimateHandle],
         records: list[NodeSolveRecord],
         merged: Recorder,
-        registry,
-        tracer,
-        trace_buffer: list[dict],
+        cycle_id: int | None,
         cache=None,
     ) -> None:
         """Fold one completed node result into the cycle state.
@@ -543,7 +497,9 @@ class ParallelHierarchicalSolver:
         root's posterior (for the cycle output) and a posterior a
         host-side cache stores.  A cache backed by this plane pins the
         segment instead (:meth:`SharedEstimatePlane.promote`).  The
-        children's segments are released here unless pinned.
+        children's segments are released here unless pinned.  The
+        worker's spans and flight ring join the active tracer and
+        recorder under the ``cycle`` span ``cycle_id``.
         """
         nid, posterior, events, seconds, n_batches, payload, quarantined, retries = (
             result
@@ -566,14 +522,15 @@ class ParallelHierarchicalSolver:
         obs.inc("sched.nodes_completed")
         obs.inc("sched.busy_seconds", float(seconds))
         if payload is not None:
-            if tracer is not None and payload["trace"] is not None:
-                trace_buffer.append(payload["trace"])
+            for sink, part in (
+                (obs.current_tracer(), payload["trace"]),
+                (obs.current_flight_recorder(), payload["flight"]),
+            ):
+                if sink is not None:
+                    sink.merge(part, parent_id=cycle_id)
+            registry = obs.current_metrics()
             if registry is not None:
                 registry.merge_snapshot(payload["metrics"])
-            if payload.get("flight") is not None:
-                recorder = obs.current_flight_recorder()
-                if recorder is not None:
-                    recorder.absorb(payload["flight"])
         records.append(
             NodeSolveRecord(
                 nid=nid,

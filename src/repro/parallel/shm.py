@@ -46,7 +46,9 @@ Lifetime rules
 * Resource-tracker registrations (which attach performs too on this
   Python) are left to coalesce in the fork-shared tracker's set cache
   and are cleared exactly once by the owner's ``unlink`` — see
-  :func:`_attach` for why no manual untracking happens.
+  :func:`_attach` for why no manual untracking happens.  If the owner
+  dies without unlinking, the tracker does it once the pool's workers
+  have exited too.
 * :meth:`SharedEstimatePlane.release` and :meth:`close` are idempotent,
   so crash-recovery paths may release defensively; ``close`` (or
   ``close_transient`` on a borrowed plane) runs in the scheduler's
@@ -117,9 +119,12 @@ def _attach(handle: EstimateHandle) -> shared_memory.SharedMemory:
     parent's unlink because the parent only unlinks a segment after
     every task that reads or writes it has returned).  Unbalanced manual
     unregisters would instead race another attach and spill ``KeyError``
-    noise from the tracker — so no untracking happens here, and any
-    segment that survives a hard crash of the dispatching process is
-    unlinked by the tracker at shutdown.
+    noise from the tracker — so no untracking happens here.  A segment
+    that survives a hard crash of the dispatching process is unlinked by
+    the tracker when it shuts down, which is once every process holding
+    its pipe has exited: the dispatcher and its pool workers, which end
+    themselves when their parent dies
+    (:func:`repro.parallel.executors._exit_with_parent`).
     """
     return shared_memory.SharedMemory(name=handle.name)
 

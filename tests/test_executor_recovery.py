@@ -9,10 +9,12 @@ solver's, and exhausting the resubmit budget raises
 :class:`~repro.errors.WorkerCrashError`.
 """
 
+import json
 import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -200,3 +202,85 @@ def test_a_submit_racing_a_pool_break_is_resubmitted(tmp_path):
             pytest.fail("the dispatch loop hung on a raced submit")
     assert returncode == 0, out.read_text()
     assert out.read_text().strip().endswith("bitwise")
+
+
+#: A process-backend session that keeps its nodes' shared-memory segments
+#: pinned, reports its pool workers and segments, then waits to be killed.
+_ORPHANING_SOLVE = """
+import json, sys, time
+from repro.core.session import SolveSession
+from repro.molecules.rna import build_helix
+from repro.parallel import ProcessExecutor
+
+problem = build_helix(1)
+executor = ProcessExecutor(2)
+session = SolveSession(problem.hierarchy, problem.constraints, executor=executor)
+session.solve(problem.initial_estimate(0), max_cycles=1, tol=0.0)
+report = {
+    "workers": [p.pid for p in executor._pool._processes.values()],
+    "segments": [session._plane.pinned_name(n.nid) for n in problem.hierarchy.nodes],
+}
+with open(sys.argv[1] + ".part", "w") as fh:
+    json.dump(report, fh)
+import os; os.replace(sys.argv[1] + ".part", sys.argv[1])
+time.sleep(300)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie awaiting its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_killed_dispatcher_takes_its_workers_and_segments_down(tmp_path):
+    """SIGKILL on the dispatching process: its pool workers exit, and the
+    resource tracker then unlinks the segments the dispatcher could not."""
+    report_path = tmp_path / "report.json"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    # Its own session, so every process it starts can be killed as a group.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHANING_SOLVE, str(report_path)],
+        env={**os.environ, "PYTHONPATH": src},
+        start_new_session=True,
+    )
+    report = {"workers": []}
+    try:
+        deadline = time.monotonic() + 120.0
+        while not report_path.exists():
+            assert proc.poll() is None, "the solve exited before reporting"
+            assert time.monotonic() < deadline, "the solve never reported"
+            time.sleep(0.1)
+        report = json.loads(report_path.read_text())
+        segments = [Path("/dev/shm") / name for name in report["segments"]]
+        assert report["workers"] and all(p.exists() for p in segments)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+            any(map(_running, report["workers"])) or any(p.exists() for p in segments)
+        ):
+            time.sleep(0.1)
+        assert [pid for pid in report["workers"] if _running(pid)] == []
+        assert [p.name for p in segments if p.exists()] == []
+    finally:
+        # Workers first: the resource tracker, left alone, then unlinks
+        # the segments and exits before the rest of the group is killed.
+        for pid in [proc.pid, *report["workers"]]:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        proc.wait()
+        deadline = time.monotonic() + 5.0
+        try:
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.1)
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

@@ -1,8 +1,8 @@
 """Tests for the post-hoc trace analytics layer.
 
-Covers: the spans-JSONL / Chrome-trace loaders (exact round-trip, id
-preservation, error reporting), spans-JSONL schema validation (and its
-CLI), critical-path extraction on hand-built traces with known answers,
+Covers: the spans-JSONL loader (exact round-trip, id preservation,
+error reporting), JSONL schema validation (and its CLI), critical-path
+extraction on hand-built traces with known answers,
 per-lane utilization and imbalance attribution, Equation-1 drift
 verdicts, the doctor's cross-backend determinism guarantee (same DAG
 from serial/thread/process traces of the same problem, warm ``resolve``
@@ -146,30 +146,6 @@ class TestLoaders:
         taken = {sp.span_id for sp in loaded.spans}
         assert loaded._new_id() not in taken
 
-    def test_load_trace_dispatches_on_suffix(self, synthetic_tracer, tmp_path):
-        jsonl = tmp_path / "t.jsonl"
-        chrome = tmp_path / "t.json"
-        obs.write_spans_jsonl(synthetic_tracer, jsonl)
-        obs.write_chrome_trace(synthetic_tracer, chrome)
-        for path in (jsonl, chrome):
-            loaded = obs.load_trace(path)
-            assert sorted(sp.name for sp in loaded.spans) == [
-                "cycle", "node[0]", "node[1]", "node[2]",
-            ]
-
-    def test_chrome_round_trip_recovers_lane_nesting(self, synthetic_tracer, tmp_path):
-        path = tmp_path / "t.json"
-        obs.write_chrome_trace(synthetic_tracer, path)
-        loaded = obs.read_chrome_trace(path)
-        by_name = {sp.name: sp for sp in loaded.spans}
-        # same-lane children keep their parent; timestamps survive to 1 us
-        cycle = by_name["cycle"]
-        assert by_name["node[0]"].parent_id == cycle.span_id
-        assert by_name["node[0]"].duration == pytest.approx(3.0, abs=1e-5)
-        # the cross-lane child comes back as a root of its own lane
-        assert by_name["node[1]"].parent_id is None
-        assert (by_name["node[1]"].pid, by_name["node[1]"].tid) == (2, 7)
-
     def test_bad_jsonl_raises_with_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"type": "span"\n')
@@ -179,13 +155,10 @@ class TestLoaders:
         with pytest.raises(ValueError, match="unknown record type"):
             obs.read_spans_jsonl(path)
 
-    def test_unbalanced_chrome_trace_rejected(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"traceEvents": [
-            {"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 1},
-        ]}))
-        with pytest.raises(ValueError, match="unclosed"):
-            obs.read_chrome_trace(path)
+
+def _validate(rows):
+    """Validate span rows as the body of a spans log (behind a meta row)."""
+    return validate_spans_jsonl([{"type": "meta"}, *rows])
 
 
 class TestSpansValidation:
@@ -202,50 +175,44 @@ class TestSpansValidation:
 
     def test_valid_rows_pass(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
-        assert validate_spans_jsonl(rows) == []
+        assert _validate(rows) == []
         stats = spans_jsonl_stats(rows)
         assert stats == {"lanes": 2, "spans": 4, "max_depth": 2}
 
     def test_duplicate_span_id(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
         rows[1]["span_id"] = rows[0]["span_id"]
-        assert any("duplicate span_id" in p for p in validate_spans_jsonl(rows))
+        assert any("duplicate span_id" in p for p in _validate(rows))
 
     def test_end_before_start(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
         rows[-1]["end"] = rows[-1]["start"] - 1.0
-        problems = validate_spans_jsonl(rows)
+        problems = _validate(rows)
         assert any("ends" in p and "before it starts" in p for p in problems)
 
     def test_dangling_parent(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
         rows[1]["parent_id"] = 99999
-        assert any("matches no span" in p for p in validate_spans_jsonl(rows))
+        assert any("matches no span" in p for p in _validate(rows))
 
     def test_unsorted_rows(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
         rows.reverse()
-        assert any("not sorted" in p for p in validate_spans_jsonl(rows))
+        assert any("not sorted" in p for p in _validate(rows))
 
     def test_partial_overlap_in_lane(self):
         tracer = Tracer()
         _add_span(tracer, "a", 0.0, 5.0)
         _add_span(tracer, "b", 3.0, 8.0)  # overlaps a, not nested
-        problems = validate_spans_jsonl(self._rows(tracer))
+        problems = _validate(self._rows(tracer))
         assert any("partially overlaps" in p for p in problems)
-
-    def test_wavefront_overlap_exempt(self):
-        tracer = Tracer()
-        _add_span(tracer, "wavefront[0]", 0.0, 5.0)
-        _add_span(tracer, "wavefront[1]", 3.0, 8.0)
-        assert validate_spans_jsonl(self._rows(tracer)) == []
 
     def test_nonscalar_attr_rejected_but_shape_lists_ok(self, synthetic_tracer):
         rows = self._rows(synthetic_tracer)
         rows[0]["attrs"]["shape"] = [4, 4]
-        assert validate_spans_jsonl(rows) == []
+        assert _validate(rows) == []
         rows[0]["attrs"]["bad"] = {"nested": 1}
-        assert any("JSON scalar" in p for p in validate_spans_jsonl(rows))
+        assert any("JSON scalar" in p for p in _validate(rows))
 
     def test_validate_cli_on_jsonl(self, assigned_problem, tmp_path, capsys):
         from repro.obs.validate import main as validate_main
@@ -263,13 +230,50 @@ class TestSpansValidation:
 
         path = tmp_path / "bad.jsonl"
         rows = [
+            {"type": "meta"},
             {"type": "span", "name": "a", "cat": "solve", "start": 0.0,
              "end": -1.0, "span_id": 1, "parent_id": None, "pid": 1, "tid": 1,
              "attrs": {}},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         assert validate_main([str(path)]) == 1
-        assert "INVALID" in capsys.readouterr().err
+        assert "before it starts" in capsys.readouterr().err
+
+    def test_meta_row_comes_first_and_once(self, synthetic_tracer):
+        rows = self._rows(synthetic_tracer)
+        assert any("meta row" in p for p in validate_spans_jsonl(rows))
+        problems = _validate([*rows, {"type": "meta"}])
+        assert any("unknown or missing type 'meta'" in p for p in problems)
+
+    def test_dump_meta_accounts_for_its_rows(self, synthetic_tracer):
+        rows = self._rows(synthetic_tracer)
+        meta = {"type": "meta", "reason": "manual", "capacity": 8,
+                "recorded": 6, "dropped": 2, "events": 4}
+        assert validate_spans_jsonl([meta, *rows]) == []
+        problems = validate_spans_jsonl([meta, *rows[1:]])
+        assert any("must equal the 3 span/instant rows" in p for p in problems)
+        problems = validate_spans_jsonl([{**meta, "recorded": -1}, *rows])
+        assert any("recorded must be a non-negative integer" in p for p in problems)
+
+    def test_metrics_rows(self):
+        meta = {"type": "meta", "period_seconds": 1.0}
+        hist = {"count": 2, "buckets": {"-4": 1, "3": 1}}
+
+        def beat(seq, ts, h=hist):
+            return {"type": "metrics", "seq": seq, "ts": ts, "uptime_seconds": 0.0,
+                    "metrics": {"counters": {"a": 1.0}, "gauges": {},
+                                "histograms": {"cycle.seconds": h}}}
+
+        assert validate_spans_jsonl([meta, beat(0, 1.0), beat(1, 2.0)]) == []
+        problems = validate_spans_jsonl([meta, beat(0, 1.0), beat(0, 2.0)])
+        assert any("seq must be strictly increasing" in p for p in problems)
+        problems = validate_spans_jsonl([meta, beat(0, 2.0), beat(1, 1.0)])
+        assert any("ts must be non-decreasing" in p for p in problems)
+        problems = validate_spans_jsonl([meta, beat(0, 1.0, {"count": 3, "buckets": {"1": 2}})])
+        assert any("sum to 2, count says 3" in p for p in problems)
+        problems = validate_spans_jsonl([meta, beat(0, 1.0, {"count": 0})])
+        assert any("needs a buckets object" in p for p in problems)
+        assert any("needs metrics rows" in p for p in validate_spans_jsonl([meta]))
 
 
 class TestCriticalPath:
@@ -395,7 +399,7 @@ class TestDoctorAcrossBackends:
             # analyze through the exported file, as the CLI would
             path = tmp_path / f"{backend}.jsonl"
             obs.write_spans_jsonl(tracer, path)
-            report = obs.doctor_report(obs.load_trace(path))
+            report = obs.doctor_report(obs.read_spans_jsonl(path))
             dags[backend] = json.dumps(report["dag"], sort_keys=True)
             eq1_nodes[backend] = {
                 r["nid"] for p in report["passes"] for r in p["eq1"]["residuals"]
@@ -504,6 +508,13 @@ class TestObsCLI:
     def test_critical_path(self, trace_file, capsys):
         assert main(["obs", "critical-path", trace_file]) == 0
         assert "critical path over" in capsys.readouterr().out
+
+    def test_doctor_rejects_chrome_trace(self, synthetic_tracer, tmp_path):
+        path = tmp_path / "t.json"
+        obs.write_chrome_trace(synthetic_tracer, path)
+        for cmd in ("doctor", "critical-path"):
+            with pytest.raises(SystemExit, match=r"solve --trace PATH\.jsonl"):
+                main(["obs", cmd, str(path)])
 
     def test_doctor_rejects_empty_trace(self, tmp_path):
         tracer = Tracer()

@@ -3,16 +3,18 @@
 Pins the while-it-runs observability contracts of :mod:`repro.obs.live`
 and the streaming internals of :mod:`repro.obs.metrics`:
 
-* the flight recorder's bounded ring, forensic triggers, dump format and
-  worker payload/absorb transport;
+* the flight recorder's bounded ring of tracer records, forensic
+  triggers, dumps in the spans-log schema and the worker payload/merge
+  transport;
 * log-bucket histograms (O(1) memory, quantiles within bucket
-  resolution, merge, and the legacy ``values``-list snapshot alias);
+  resolution, merge);
 * labeled metric keys surviving snapshot/merge round trips;
 * the heartbeat exporter + ``repro obs top`` rendering, and the SLO
   burn-rate verdict.
 """
 
 import json
+import os
 import re
 
 import numpy as np
@@ -31,12 +33,8 @@ from repro.obs.metrics import (
     parse_metric_key,
     quantile_from_snapshot,
 )
-from repro.obs.validate import (
-    flight_jsonl_stats,
-    heartbeat_jsonl_stats,
-    validate_flight_jsonl,
-    validate_heartbeat_jsonl,
-)
+from repro.obs.validate import validate_spans_jsonl
+from repro.parallel import ParallelHierarchicalSolver, ProcessExecutor
 
 
 def _read_rows(path):
@@ -92,27 +90,6 @@ class TestStreamingHistogram:
             # the representative value lands back in the same bucket
             assert bucket_index(bucket_value(idx)) == idx
 
-    def test_merge_snapshot_reads_legacy_values_lists(self):
-        """Old worker snapshots carried raw ``values`` lists; merging one
-        must still work (observations re-bucketed on ingest)."""
-        registry = obs.MetricsRegistry()
-        registry.merge_snapshot(
-            {
-                "counters": {},
-                "gauges": {},
-                "histograms": {
-                    "node.seconds": {
-                        "count": 3,
-                        "values": [1.0, 2.0, 3.0],
-                    }
-                },
-            }
-        )
-        h = registry.histogram("node.seconds")
-        assert h.count == 3
-        assert h.mean == pytest.approx(2.0)
-        assert h.vmax == 3.0
-
     def test_snapshot_merge_round_trip(self):
         src = obs.MetricsRegistry()
         for v in (0.1, 0.2, 0.4, 0.8):
@@ -164,14 +141,15 @@ class TestLabeledMetrics:
 # ------------------------------------------------------------ flight recorder
 class TestFlightRecorder:
     def test_ring_is_bounded_and_counts_drops(self):
-        rec = obs.FlightRecorder(capacity=8)
-        for i in range(20):
-            rec.record("span", f"node[{i}]", "solve", {"nid": i}, duration=0.01)
+        with obs.flight_recording(capacity=8) as rec:
+            for i in range(20):
+                with obs.span(f"node[{i}]", cat="solve", nid=i):
+                    pass
         assert rec.recorded == 20
         assert rec.dropped == 12
         payload = rec.payload()
-        assert len(payload["events"]) == 8
-        assert payload["events"][-1]["name"] == "node[19]"
+        assert len(payload["spans"]) == 8
+        assert payload["spans"][-1].name == "node[19]"
 
     def test_idle_without_active_recorder_records_nothing(self):
         rec = obs.FlightRecorder()
@@ -181,15 +159,26 @@ class TestFlightRecorder:
 
     def test_span_and_instant_hooks_feed_active_recorder(self):
         with obs.flight_recording(capacity=16) as rec:
-            with obs.span("node[3]", cat="solve", nid=3):
-                pass
-            obs.instant("fault.injected", cat="fault", channel="chol")
-        kinds = [(e["kind"], e["name"]) for e in rec.payload()["events"]]
-        assert ("instant", "fault.injected") in kinds
-        assert ("span", "node[3]") in kinds
-        span = next(e for e in rec.payload()["events"] if e["kind"] == "span")
-        assert span["dur"] >= 0.0
+            with obs.span("node[3]", cat="solve", nid=3) as sp:
+                obs.instant("fault.injected", cat="fault", channel="chol")
+        assert [s.name for s in rec.spans] == ["node[3]"]
+        assert rec.spans[0] is sp and sp.end >= sp.start
+        (ev,) = rec.instants
+        assert ev.name == "fault.injected" and ev.parent_id == sp.span_id
         assert rec.overhead_seconds > 0.0
+
+    def test_ring_keeps_the_active_tracers_records(self):
+        """With a tracer active the ring holds the tracer's own records;
+        kernel spans (Tracer.complete) stay out of the ring."""
+        tracer = obs.Tracer()
+        with obs.flight_recording() as rec, obs.tracing(tracer):
+            with obs.span("node[1]", nid=1):
+                tracer.complete("gemm", "kernel", 0.0, 1.0)
+                obs.instant("fault.injected", cat="fault")
+        assert [s.name for s in tracer.spans] == ["gemm", "node[1]"]
+        assert list(rec.spans) == [tracer.spans[1]]
+        assert list(rec.instants) == tracer.instants
+        assert rec.recorded == 2
 
     def test_trigger_dumps_validated_artifact(self, tmp_path):
         with obs.flight_recording(dump_dir=tmp_path, capacity=32) as rec:
@@ -203,50 +192,70 @@ class TestFlightRecorder:
             )
         assert len(rec.dumps) == 1
         rows = _read_rows(rec.dumps[0])
-        assert validate_flight_jsonl(rows) == []
+        assert validate_spans_jsonl(rows) == []
         meta = rows[0]
         assert meta["reason"] == "update.batch_failed"
         assert meta["trigger"]["error"] == "NotPositiveDefiniteError"
-        stats = flight_jsonl_stats(rows)
-        assert stats["events"] == 2
+        assert meta["events"] == 2
+        loaded = obs.read_spans_jsonl(rec.dumps[0])
+        assert [s.name for s in loaded.spans] == ["node[1]"]
+        assert [e.name for e in loaded.instants] == ["update.batch_failed"]
+
+    def test_dump_nulls_parents_outside_the_ring(self, tmp_path):
+        """A trigger inside an open span dumps before that span commits; a
+        row whose parent is not in the dump names no parent."""
+        with obs.flight_recording(dump_dir=tmp_path) as rec:
+            with obs.span("node[2]", nid=2):
+                with obs.span("batch"):
+                    pass
+                obs.instant("batch.quarantined", cat="fault", nid=2)
+        rows = _read_rows(rec.dumps[0])
+        assert validate_spans_jsonl(rows) == []
+        assert [(r["name"], r["parent_id"]) for r in rows[1:]] == [
+            ("batch", None),
+            ("batch.quarantined", None),
+        ]
 
     def test_npd_error_attr_triggers_regardless_of_name(self, tmp_path):
         rec = obs.FlightRecorder(dump_dir=tmp_path)
-        rec.record("instant", "some.other.instant", "x", {"error": "ValueError"})
+        rec.instant("some.other.instant", "x", error="ValueError")
         assert rec.dumps == []
-        rec.record(
-            "instant", "some.other.instant", "x",
-            {"error": "NotPositiveDefiniteError"},
-        )
+        rec.instant("some.other.instant", "x", error="NotPositiveDefiniteError")
         assert len(rec.dumps) == 1
 
     def test_dump_rate_limit(self, tmp_path):
         rec = obs.FlightRecorder(dump_dir=tmp_path, max_dumps=2)
         for _ in range(5):
-            rec.record("instant", "executor.pool_rebuild", "executor", {})
+            rec.instant("executor.pool_rebuild", "executor")
         assert len(rec.dumps) == 2
 
     def test_worker_payload_absorb_refires_triggers(self, tmp_path):
         worker = obs.FlightRecorder()  # no dump_dir: worker-side config
-        worker.record("span", "node[9]", "solve", {"nid": 9}, duration=0.2)
-        worker.record("instant", "batch.quarantined", "fault", {"nid": 9})
+        with obs.flight_recording(worker):
+            with obs.span("node[9]", cat="solve", nid=9):
+                obs.instant("batch.quarantined", cat="fault", nid=9)
         assert worker.dumps == []  # cannot dump, only queue
         parent = obs.FlightRecorder(dump_dir=tmp_path)
-        parent.absorb(worker.payload())
+        with parent.span("cycle") as cycle:
+            parent.merge(worker.payload(), parent_id=cycle.span_id)
         # the worker's trigger fired in the parent, with the worker's attrs
         assert len(parent.dumps) == 1
         rows = _read_rows(parent.dumps[0])
-        assert validate_flight_jsonl(rows) == []
+        assert validate_spans_jsonl(rows) == []
         assert rows[0]["reason"] == "batch.quarantined"
         assert rows[0]["trigger"] == {"nid": 9}
-        assert {r["name"] for r in rows[1:]} == {"node[9]", "batch.quarantined"}
+        # each worker record appears once; the open cycle span is not in
+        # the dump, so the worker's root names no parent there
+        assert [r["name"] for r in rows[1:]] == ["node[9]", "batch.quarantined"]
+        assert rows[1]["parent_id"] is None
 
     def test_manual_dump_explicit_path(self, tmp_path):
         rec = obs.FlightRecorder()
-        rec.record("span", "node[0]", "solve", {}, duration=0.1)
+        with rec.span("node[0]", cat="solve"):
+            pass
         path = rec.dump(tmp_path / "flight.jsonl")
         rows = _read_rows(path)
-        assert validate_flight_jsonl(rows) == []
+        assert validate_spans_jsonl(rows) == []
         assert rows[0]["reason"] == "manual"
 
     def test_default_triggers_cover_the_failure_surfaces(self):
@@ -273,7 +282,7 @@ class TestSolverForensics:
             solver.run_cycle(estimate)
         assert rec.dumps, "no forensic dump written"
         rows = _read_rows(rec.dumps[0])
-        assert validate_flight_jsonl(rows) == []
+        assert validate_spans_jsonl(rows) == []
         assert rows[0]["reason"] in DEFAULT_TRIGGERS
         names = {r["name"] for r in rows[1:]}
         assert "fault.injected" in names
@@ -283,6 +292,37 @@ class TestSolverForensics:
             if r["name"] == "fault.injected"
         }
         assert "cholesky" in sites
+
+    def test_process_worker_records_keep_their_lanes(
+        self, two_group_problem, tmp_path
+    ):
+        """Triggers seen in process workers dump in the parent; each dump
+        loads back record for record, and worker rows keep their lanes."""
+        coords, constraints, hierarchy, estimate = two_group_problem
+        assign_constraints(hierarchy, constraints)
+        inj = FaultInjector(FaultConfig(chol_p=1.0, seed=0))
+        with obs.flight_recording(dump_dir=tmp_path) as rec, fault_injection(
+            inj
+        ), ProcessExecutor(2) as ex:
+            ParallelHierarchicalSolver(
+                hierarchy, batch_size=4, executor=ex
+            ).run_cycle(estimate)
+        assert rec.dumps, "no forensic dump written"
+        for path in rec.dumps:
+            rows = _read_rows(path)
+            assert validate_spans_jsonl(rows) == []
+            loaded = obs.read_spans_jsonl(path)
+            assert [s.name for s in loaded.spans] == [
+                r["name"] for r in rows if r["type"] == "span"
+            ]
+            assert [e.name for e in loaded.instants] == [
+                r["name"] for r in rows if r["type"] == "instant"
+            ]
+        worker_lanes = {(r["pid"], r["tid"]) for r in rows[1:] if r["pid"] != os.getpid()}
+        assert worker_lanes
+        assert {r["name"] for r in rows[1:] if (r["pid"], r["tid"]) in worker_lanes} >= {
+            "batch.quarantined"
+        }
 
     def test_recorder_does_not_change_results(self, two_group_problem):
         """Bit-identity: an active flight recorder must be observe-only."""
@@ -310,26 +350,30 @@ class TestTelemetrySnapshotter:
         # period far longer than the run: stop() still wrote one beat
         assert snap.beats >= 1
         rows = _read_rows(path)
-        assert validate_heartbeat_jsonl(rows) == []
+        assert validate_spans_jsonl(rows) == []
         meta, beats = rows[0], rows[1:]
-        assert meta["type"] == "heartbeat_meta"
+        assert meta["type"] == "meta"
+        assert {r["type"] for r in beats} == {"metrics"}
         assert meta["period_seconds"] == 60.0
         last = beats[-1]["metrics"]
         assert last["counters"]["sched.busy_seconds"] == 1.5
         assert last["histograms"]["cycle.seconds"]["count"] == 1
         # the snapshotter prices itself into every beat
         assert "obs.snapshotter_overhead_seconds" in last["gauges"]
-        stats = heartbeat_jsonl_stats(rows)
-        assert stats["beats"] == len(beats)
+        assert [r["seq"] for r in beats] == list(range(snap.beats))
 
-    def test_appends_across_runs_single_meta(self, tmp_path):
-        registry = obs.MetricsRegistry()
+    def test_second_run_replaces_the_first(self, tmp_path):
+        """A reused heartbeat path holds one run, as --trace and --out do."""
         path = tmp_path / "hb.jsonl"
-        for _ in range(2):
-            with obs.TelemetrySnapshotter(registry, path, period=60.0):
-                pass
+        for run in range(2):
+            registry = obs.MetricsRegistry()
+            registry.counter("run").inc(run)
+            with obs.TelemetrySnapshotter(registry, path, period=60.0) as snap:
+                snap.beat()
         rows = _read_rows(path)
-        assert sum(1 for r in rows if r["type"] == "heartbeat_meta") == 1
+        assert validate_spans_jsonl(rows) == []
+        assert [r["type"] for r in rows] == ["meta", "metrics", "metrics"]
+        assert {r["metrics"]["counters"]["run"] for r in rows[1:]} == {1}
 
     def test_read_heartbeats(self, tmp_path):
         registry = obs.MetricsRegistry()
@@ -337,7 +381,7 @@ class TestTelemetrySnapshotter:
         with obs.TelemetrySnapshotter(registry, path, period=60.0):
             pass
         meta, rows = obs.read_heartbeats(path)
-        assert meta["version"] == 1
+        assert meta["period_seconds"] == 60.0
         assert rows and rows[0]["seq"] == 0
 
     def test_parse_heartbeat_spec(self):
@@ -386,7 +430,7 @@ class TestSLO:
 # ------------------------------------------------------------------ obs top
 def _beat(seq, ts, counters=None, gauges=None, histograms=None):
     return {
-        "type": "heartbeat",
+        "type": "metrics",
         "seq": seq,
         "ts": ts,
         "uptime_seconds": float(seq),
@@ -485,9 +529,7 @@ class TestObsTopCLI:
 
         path = tmp_path / "hb.jsonl"
         path.write_text(
-            json.dumps(
-                {"type": "heartbeat_meta", "version": 1, "period_seconds": 1.0}
-            )
+            json.dumps({"type": "meta", "period_seconds": 1.0})
             + "\n"
         )
         assert main(["obs", "top", str(path), "--once"]) == 1
