@@ -191,6 +191,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     from repro import io as rio
     from repro import obs
     from repro.core.session import SolveSession
+    from repro.errors import CheckpointError
 
     registry = obs.MetricsRegistry() if args.heartbeat else None
     executor = _make_executor(args.backend, args.workers)
@@ -200,7 +201,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             if registry is not None:
                 stack.enter_context(obs.metrics_scope(registry))
             recorder = _enter_live_plane(stack, args, registry=registry)
-            session = SolveSession.load(args.session_dir, executor=executor)
+            try:
+                session = SolveSession.load(args.session_dir, executor=executor)
+            except CheckpointError as exc:
+                raise SystemExit(f"cannot re-solve {args.session_dir}: {exc}") from exc
             stack.callback(session.close)
             if session.unfinished_cycle is not None:
                 raise SystemExit(
@@ -310,7 +314,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     options = UpdateOptions(
         local_iterations=args.local_iterations,
         max_retries=args.max_retries,
-        kernel_impl=args.kernel_impl,
         schedule=_parse_batch_anneal(args.batch_anneal),
     )
     initial = problem.initial_estimate(args.seed)
@@ -785,14 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--cycles", type=int, default=30)
     solve.add_argument("--tol", type=float, default=1e-4)
     solve.add_argument("--local-iterations", type=int, default=1)
-    solve.add_argument(
-        "--kernel-impl",
-        choices=["fast", "reference", "vector"],
-        default="fast",
-        help="update kernels: symmetric BLAS fast path, the pre-optimization "
-        "reference, or 'vector' (fast kernels + planned type-grouped "
-        "vectorized assembly with cached sparsity plans)",
-    )
     solve.add_argument(
         "--anneal",
         default=None,

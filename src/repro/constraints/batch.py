@@ -56,30 +56,16 @@ class ConstraintBatch:
         return cached
 
 
-def make_batches(
-    constraints: Sequence[Constraint], m: int, group_by_type: bool = False
-) -> list[ConstraintBatch]:
+def make_batches(constraints: Sequence[Constraint], m: int) -> list[ConstraintBatch]:
     """Greedily pack ``constraints`` (in order) into batches of ≈``m`` rows.
 
     A batch is closed as soon as its row count reaches ``m``; a single
-    constraint wider than ``m`` still forms its own batch.  By default order
-    within and across batches preserves the input order, which matters for
-    the constraint-ordering convergence experiments.
-
-    ``group_by_type=True`` stably regroups the constraints by exact type
-    before packing (types ordered by first appearance, input order kept
-    within each type).  Homogeneous batches maximize the width of the
-    planned vectorized assembly (``kernel_impl="vector"``); because batch
-    composition changes, results differ from the legacy packing in the
-    usual order-dependent-round-off sense.
+    constraint wider than ``m`` still forms its own batch.  Order within
+    and across batches preserves the input order, which matters for the
+    constraint-ordering convergence experiments.
     """
     if m < 1:
         raise ConstraintError("batch dimension m must be >= 1")
-    if group_by_type:
-        by_type: dict[type, list[Constraint]] = {}
-        for c in constraints:
-            by_type.setdefault(type(c), []).append(c)
-        constraints = [c for group in by_type.values() for c in group]
     batches: list[ConstraintBatch] = []
     current: list[Constraint] = []
     rows = 0

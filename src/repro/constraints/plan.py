@@ -19,9 +19,8 @@ precomputes:
 * scatter positions mapping each group's stacked ``jac`` values into the
   CSR ``data`` array;
 * the column support and the scatter positions of the dense support
-  restriction ``H[:, support]`` consumed by the fast kernels, so the
-  per-update ``column_support()`` / ``restrict_columns().to_dense()``
-  pass disappears as well;
+  restriction ``H[:, support]`` consumed by the fast kernels, so no
+  update scans ``H`` for its support;
 * the stacked measurement variances ``r``.
 
 :meth:`BatchPlan.assemble` then rewrites only values: one vectorized

@@ -69,7 +69,7 @@ from repro.core.hier_solver import HierarchicalSolver, NodeSolveRecord
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
 from repro.core.update import AnnealSchedule, UpdateOptions
-from repro.errors import HierarchyError, SessionError
+from repro.errors import CheckpointError, DimensionError, HierarchyError, SessionError
 from repro.util.timer import Timer
 
 if TYPE_CHECKING:
@@ -155,8 +155,8 @@ class _SessionCache:
 class SolveSession:
     """Warm-start solve state retained across constraint edits.
 
-    With ``UpdateOptions(kernel_impl="vector")`` the session also keeps
-    the compiled assembly plans warm for free: plans are cached in the
+    On the vector tier (the default ``UpdateOptions.kernel_impl``) the
+    session also keeps the compiled assembly plans warm for free: plans are cached in the
     workspace arena keyed by constraint *identity*
     (:meth:`repro.linalg.workspace.Workspace.plan_for`), and
     :meth:`_rebuild_node` keeps unedited constraint objects while edits
@@ -712,6 +712,10 @@ class SolveSession:
         (:attr:`unfinished_cycle` names its cycle), an interrupted
         re-solve by :meth:`resolve`; neither redoes finished work or
         replays a pre-edit posterior for an edited node.
+
+        A manifest whose options no longer construct (a kernel tier this
+        version does not offer, say) raises
+        :class:`~repro.errors.CheckpointError`, like any unreadable store.
         """
         from repro.io import _decode_hierarchy, decode_constraint
 
@@ -719,15 +723,21 @@ class SolveSession:
         assert store is not None
         manifest = store.load_manifest()
         options = dict(manifest["options"])
-        if options["schedule"] is not None:
-            options["schedule"] = AnnealSchedule(**options["schedule"])
+        try:
+            if options["schedule"] is not None:
+                options["schedule"] = AnnealSchedule(**options["schedule"])
+            options = UpdateOptions(**options)
+        except (DimensionError, TypeError) as exc:
+            raise CheckpointError(
+                f"unsupported update options in {store.directory}: {exc}"
+            ) from exc
         root = _decode_hierarchy(manifest["hierarchy"])
         hierarchy = Hierarchy(root, manifest["n_atoms"])
         session = cls(
             hierarchy,
             (),
             batch_size=manifest["batch_size"],
-            options=UpdateOptions(**options),
+            options=options,
             executor=executor,
             shared_memory=shared_memory,
             store=store,

@@ -60,7 +60,7 @@ from repro.linalg.workspace import get_workspace
 from repro.util.validation import symmetrize
 
 #: Valid values of :attr:`UpdateOptions.kernel_impl`.
-KERNEL_IMPLS = ("fast", "reference", "vector")
+KERNEL_IMPLS = ("reference", "vector")
 
 
 @dataclass(frozen=True)
@@ -150,17 +150,17 @@ class UpdateOptions:
         nonlinear constraints can create (the analytical-procedure trap the
         paper combats with a conformational-search preprocessing step).
     kernel_impl:
-        ``"fast"`` (default) runs steps 2-6 through the symmetry-aware,
-        workspace-reusing kernels of :mod:`repro.linalg.fast` (symmetric
-        ``C·Hᵗ``, one in-place triangular solve, rank-m ``syrk``
-        downdate — see docs/performance.md); ``"vector"`` runs the same
-        kernels but replaces the per-constraint step-1 assembly loop with
-        the compile-once/evaluate-many planned assembler of
-        :mod:`repro.constraints.plan` (type-grouped ``linearize_many``
-        over a cached CSR structure); ``"reference"`` runs the original
-        out-of-place kernels and reproduces pre-optimization results
-        bitwise.  All tiers agree to high precision (property tested at
-        rtol 1e-10 in tests/test_fast_kernels.py, three-way).
+        ``"vector"`` (default) assembles each batch through the
+        compile-once/evaluate-many plan of :mod:`repro.constraints.plan`
+        (type-grouped ``linearize_many`` over a cached CSR structure) and
+        runs steps 2-6 through the symmetry-aware, workspace-reusing
+        kernels of :mod:`repro.linalg.fast` (symmetric ``C·Hᵗ``, one
+        in-place triangular solve, rank-m ``syrk`` downdate — see
+        docs/performance.md); ``"reference"`` runs the scalar assembly
+        loop and the original out-of-place kernels, reproducing
+        pre-optimization results bitwise.  The tiers agree to rtol 1e-10
+        (tests/test_fast_kernels.py and the ``vector_vs_reference`` fuzz
+        check).
     schedule:
         Optional :class:`AnnealSchedule` applied per batch on top of
         ``noise_scale``: batch ``step`` runs at
@@ -174,8 +174,18 @@ class UpdateOptions:
     max_retries: int = 8
     jitter_growth: float = 10.0
     noise_scale: float = 1.0
-    kernel_impl: str = "fast"
+    kernel_impl: str = "vector"
     schedule: AnnealSchedule | None = None
+
+    def __post_init__(self) -> None:
+        if self.kernel_impl not in KERNEL_IMPLS:
+            raise DimensionError(
+                f"kernel_impl must be one of {KERNEL_IMPLS}, got {self.kernel_impl!r}"
+            )
+        if self.local_iterations < 1:
+            raise DimensionError("local_iterations must be >= 1")
+        if self.noise_scale <= 0:
+            raise DimensionError("noise_scale must be positive")
 
 
 def apply_batch(
@@ -206,23 +216,15 @@ def apply_batch(
     :attr:`UpdateOptions.schedule` to anneal the measurement variances
     over constraint application.
 
-    The fast kernels read only the upper triangle of the covariance and
-    write only that triangle of the posterior (:mod:`repro.linalg.fast`,
-    "Half storage"), so the posterior is mirrored once before it is
-    returned.  ``half_stored`` is the batch loop's second opt-in (see
-    :func:`apply_batches`): the posterior is returned half-stored, for
-    the loop's next batch to read or for the loop to mirror once.  Where
-    the update leaves nothing half-stored (:func:`half_storage_applies`
-    is false) the flag has no effect.
+    The vector tier's kernels read only the upper triangle of the
+    covariance and write only that triangle of the posterior
+    (:mod:`repro.linalg.fast`, "Half storage"), so the posterior is
+    mirrored once before it is returned.  ``half_stored`` is the batch
+    loop's second opt-in (see :func:`apply_batches`): the posterior is
+    returned half-stored, for the loop's next batch to read or for the
+    loop to mirror once.  Where the update leaves nothing half-stored
+    (:func:`half_storage_applies` is false) the flag has no effect.
     """
-    if options.local_iterations < 1:
-        raise DimensionError("local_iterations must be >= 1")
-    if options.noise_scale <= 0:
-        raise DimensionError("noise_scale must be positive")
-    if options.kernel_impl not in KERNEL_IMPLS:
-        raise DimensionError(
-            f"kernel_impl must be one of {KERNEL_IMPLS}, got {options.kernel_impl!r}"
-        )
     noise_scale = options.noise_scale
     if options.schedule is not None:
         noise_scale = noise_scale * options.schedule.scale(step)
@@ -231,15 +233,6 @@ def apply_batch(
     n = x.shape[0]
     injector = current_injector()
 
-    # The vector tier linearizes through a compiled BatchPlan cached in the
-    # per-thread arena; the plan survives the local-iteration loop below as
-    # well as later cycles that re-wrap the same constraints.
-    plan = (
-        get_workspace().plan_for(batch, atom_to_column, n_columns=n)
-        if options.kernel_impl == "vector"
-        else None
-    )
-
     with obs.span(
         "batch",
         cat="update",
@@ -247,6 +240,15 @@ def apply_batch(
         n_constraints=len(batch.constraints),
         state_dim=int(n),
     ):
+        # The vector tier linearizes through a compiled BatchPlan cached in
+        # the per-thread arena; the plan survives the local-iteration loop
+        # below as well as later cycles that re-wrap the same constraints.
+        # The scalar assemble_batch serves only the reference tier.
+        plan = (
+            None
+            if options.kernel_impl == "reference"
+            else get_workspace().plan_for(batch, atom_to_column, n_columns=n)
+        )
         coords_owner: _CoordsView | None = None
         # After the first local iteration the running (x, c) is this call's
         # own intermediate, so later iterations always own the covariance.
@@ -276,8 +278,8 @@ def apply_batch(
 def half_storage_applies(options: UpdateOptions) -> bool:
     """Whether an update under ``options`` leaves its posterior half-stored.
 
-    The fast and vector tiers downdate one triangle.  The reference tier
-    and the Joseph form compute, and read, the full matrix.
+    The vector tier downdates one triangle.  The reference tier and the
+    Joseph form compute, and read, the full matrix.
     """
     return options.kernel_impl != "reference" and not options.joseph
 
@@ -453,8 +455,6 @@ def _attempt_update(
             x, c, z, h, big_h, r, n, options, regularization, injector
         )
     else:
-        # "fast" and "vector" share the kernel path; the vector tier
-        # additionally hands over its precomputed support restriction.
         x_new, c_new = _fast_steps(
             x, c, z, h, big_h, r, n, options, regularization, injector,
             support=support, h_s=h_s, c_owned=c_owned,
@@ -515,8 +515,9 @@ def _fast_steps(
     options: UpdateOptions,
     regularization: float,
     injector: FaultInjector | None,
-    support: np.ndarray | None = None,
-    h_s: np.ndarray | None = None,
+    *,
+    support: np.ndarray,
+    h_s: np.ndarray,
     c_owned: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps 2-6 through the symmetric in-place kernels of :mod:`repro.linalg.fast`.
@@ -532,17 +533,14 @@ def _fast_steps(
     and with ``c_owned`` even that disappears: the caller has declared
     the prior covariance dead, so the downdate runs in place on it.
 
-    ``support``/``h_s`` may be supplied by the planned assembler (the
-    ``vector`` tier), skipping the per-attempt support scan and dense
-    restriction below.  Both readers of ``C⁻`` read only its upper
-    triangle and the downdate writes only that triangle, so the prior
-    may be half-stored and the posterior is.
+    ``support`` (the ``s`` state columns ``H`` touches) and ``h_s`` (``H``
+    restricted to them, dense ``(m, s)``) come from the batch's
+    :class:`~repro.constraints.plan.BatchPlan`.  Both readers of ``C⁻``
+    read only its upper triangle and the downdate writes only that
+    triangle, so the prior may be half-stored and the posterior is.
     """
     m = z.shape[0]
     ws = get_workspace()
-    if support is None:
-        support = big_h.column_support()  # the s state columns H touches
-        h_s = big_h.restrict_columns(support).to_dense()  # (m, s) dense
     s_cols = int(support.size)
     # Step 2: C⁻Hᵗ. Gathered thin GEMM when the support is sparse relative
     # to the state; dsymm on the full (symmetric) C when it is not.

@@ -25,12 +25,10 @@ from repro.linalg.kernels import (
     gemv,
     outer_update,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 from repro.linalg.cholesky import cholesky_factor, cholesky_solve
 from repro.linalg.triangular import solve_lower, solve_upper
-from repro.linalg.blocked import tiled_gemm
 from repro.linalg.fast import (
     add_diagonal_inplace,
     complete_upper,
@@ -41,17 +39,13 @@ from repro.linalg.fast import (
     syrk_downdate,
     trsm_right,
 )
-from repro.linalg.parallel_kernels import ParallelKernels
-from repro.linalg.profile import TraceProfile, format_profile, profile_recorder
 from repro.linalg.workspace import Workspace, get_workspace
 
 __all__ = [
     "CSRMatrix",
     "KernelEvent",
     "OpCategory",
-    "ParallelKernels",
     "Recorder",
-    "TraceProfile",
     "Workspace",
     "add_diagonal",
     "add_diagonal_inplace",
@@ -60,23 +54,19 @@ __all__ = [
     "cholesky_solve",
     "complete_upper",
     "current_recorder",
-    "format_profile",
     "gather_cht",
     "gemm",
     "gemv",
     "get_workspace",
     "mirror_lower",
     "outer_update",
-    "profile_recorder",
     "recording",
     "solve_lower",
     "solve_upper",
     "spmm_support",
     "symm",
     "syrk_downdate",
-    "tiled_gemm",
     "trsm_right",
     "vec_add",
-    "vec_scale",
     "vec_sub",
 ]

@@ -6,12 +6,11 @@ batched moderately) and then solves against the n×m matrix ``C⁻Hᵗ`` to
 obtain the gain.  Factorization is a ``chol`` event; the paired triangular
 solves are ``sys`` events emitted by :mod:`repro.linalg.triangular`.
 
-A blocked (right-looking) factorization is provided alongside the LAPACK
-one.  LAPACK is what production solves use; the blocked version exposes
-the panel structure that limits parallel scalability (the paper observes
-Cholesky parallelizes poorly because the factored matrices are small and
-the panel factorization is a serial dependency chain) and is what the
-machine simulator's cost model mirrors.
+The factorization is LAPACK ``potrf``.  Its event records the count of
+16-wide panels as ``parallel_rows``, the width the machine simulator's
+cost model reads: the paper observes Cholesky parallelizes poorly
+because the factored matrices are small and the panel factorization is
+a serial dependency chain.
 """
 
 from __future__ import annotations
@@ -48,17 +47,14 @@ def _not_pd(message: str, s: np.ndarray, regularization: float) -> NotPositiveDe
     )
 
 
-def cholesky_factor(
-    s: np.ndarray, block: int | None = None, regularization: float = 0.0
-) -> np.ndarray:
+def cholesky_factor(s: np.ndarray, regularization: float = 0.0) -> np.ndarray:
     """Lower Cholesky factor ``L`` with ``L Lᵗ = s``; a ``chol`` event.
 
-    ``block`` selects the blocked algorithm with that panel width;
-    ``None`` uses LAPACK ``potrf``.  Raises
-    :class:`NotPositiveDefiniteError` if ``s`` is not positive definite;
-    ``regularization`` is the relative diagonal jitter the caller already
-    applied to ``s``, reported in the error for diagnosis (the retry
-    layer in :mod:`repro.core.update` passes its escalation level here).
+    Raises :class:`NotPositiveDefiniteError` if ``s`` is not positive
+    definite; ``regularization`` is the relative diagonal jitter the
+    caller already applied to ``s``, reported in the error for diagnosis
+    (the retry layer in :mod:`repro.core.update` passes its escalation
+    level here).
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -68,55 +64,18 @@ def cholesky_factor(
         injector.maybe_fail_cholesky()
     m = s.shape[0]
     t0 = timed()
-    if block is None:
-        try:
-            lower = scipy.linalg.cholesky(s, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise _not_pd(str(exc), s, regularization) from exc
-    else:
-        lower = _blocked_cholesky(s, block, regularization)
+    try:
+        lower = scipy.linalg.cholesky(s, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise _not_pd(str(exc), s, regularization) from exc
     seconds = timed() - t0
     flops = m**3 / 3.0
     emit(OpCategory.CHOLESKY, flops, 8.0 * 2 * s.size, (m,), seconds,
-         parallel_rows=max(1, m // (block or 16)), op="cholesky_factor")
+         parallel_rows=max(1, m // 16), op="cholesky_factor")
     return lower
-
-
-def _blocked_cholesky(s: np.ndarray, block: int, regularization: float = 0.0) -> np.ndarray:
-    """Right-looking blocked Cholesky (textbook panel algorithm)."""
-    if block < 1:
-        raise DimensionError("block must be >= 1")
-    a = np.array(s, dtype=np.float64)  # factored in place
-    m = a.shape[0]
-    for j in range(0, m, block):
-        jb = min(block, m - j)
-        panel = a[j : j + jb, j : j + jb]
-        try:
-            a[j : j + jb, j : j + jb] = np.linalg.cholesky(panel)
-        except np.linalg.LinAlgError as exc:
-            raise _not_pd(
-                f"panel at {j} not positive definite", s, regularization
-            ) from exc
-        if j + jb < m:
-            ljj = a[j : j + jb, j : j + jb]
-            # Trailing column block: A21 := A21 · L11⁻ᵗ
-            a21 = a[j + jb :, j : j + jb]
-            a[j + jb :, j : j + jb] = scipy.linalg.solve_triangular(
-                ljj, a21.T, lower=True, check_finite=False
-            ).T
-            # Trailing submatrix update: A22 := A22 − A21·A21ᵗ
-            a21 = a[j + jb :, j : j + jb]
-            a[j + jb :, j + jb :] -= a21 @ a21.T
-    return np.tril(a)
 
 
 def cholesky_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``(L Lᵗ) x = b`` given the lower factor; two ``sys`` events."""
     y = solve_lower(lower, b)
     return solve_upper(lower.T, y)
-
-
-def factor_and_solve(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``s`` and solve ``s x = b`` in one call; returns ``(L, x)``."""
-    lower = cholesky_factor(s)
-    return lower, cholesky_solve(lower, b)

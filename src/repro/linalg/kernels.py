@@ -127,14 +127,3 @@ def vec_sub(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     emit(OpCategory.VECTOR, float(x.size), 8.0 * 3 * x.size, (x.size,), seconds, parallel_rows=x.size, op="vec_sub")
     return out
 
-
-def vec_scale(alpha: float, x: np.ndarray) -> np.ndarray:
-    """``alpha·x``; a ``vec`` event."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError("vec_scale expects a vector")
-    t0 = timed()
-    out = alpha * x
-    seconds = timed() - t0
-    emit(OpCategory.VECTOR, float(x.size), 8.0 * 2 * x.size, (x.size,), seconds, parallel_rows=x.size, op="vec_scale")
-    return out

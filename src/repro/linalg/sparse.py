@@ -135,16 +135,9 @@ class CSRMatrix:
         out[row_ids, self.indices] = self.data
         return out
 
-    def row_nonzero_columns(self, i: int) -> np.ndarray:
-        """Column indices with non-zeros in row ``i`` (a view)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def column_support(self) -> np.ndarray:
         """Sorted unique column indices that carry any non-zero."""
         return np.unique(self.indices)
-
-    def transpose_dense(self) -> np.ndarray:
-        return self.to_dense().T
 
     # ------------------------------------------------------- dense-sparse
     def matmul_dense(self, b: np.ndarray) -> np.ndarray:
@@ -219,20 +212,12 @@ class CSRMatrix:
         """Reindex onto the column subset ``columns`` (sorted unique indices).
 
         Every stored column index must appear in ``columns``; the result has
-        ``len(columns)`` columns.  Used to compress a node-local Jacobian
-        onto the node's own state variables.
+        ``len(columns)`` columns.  With :meth:`column_support` it is the
+        reference for the support restriction a
+        :class:`~repro.constraints.plan.BatchPlan` precomputes.
         """
         columns = np.asarray(columns, dtype=np.int64)
         pos = np.searchsorted(columns, self.indices)
         if np.any(pos >= columns.size) or np.any(columns[np.minimum(pos, columns.size - 1)] != self.indices):
             raise DimensionError("matrix has non-zeros outside the requested columns")
         return CSRMatrix(self.data.copy(), pos.astype(np.int64), self.indptr.copy(), (self.shape[0], int(columns.size)))
-
-    def vstack(self, other: "CSRMatrix") -> "CSRMatrix":
-        """Stack two CSR matrices with equal column counts vertically."""
-        if self.shape[1] != other.shape[1]:
-            raise DimensionError("vstack requires equal column counts")
-        data = np.concatenate([self.data, other.data])
-        indices = np.concatenate([self.indices, other.indices])
-        indptr = np.concatenate([self.indptr, self.indptr[-1] + other.indptr[1:]])
-        return CSRMatrix(data, indices, indptr, (self.shape[0] + other.shape[0], self.shape[1]))

@@ -11,14 +11,13 @@ verifies one cross-cutting claim the repository makes:
     After the scenario's edit script, an incremental dirty-path
     ``resolve()`` equals a full re-solve of the edited problem from the
     same warm start, bitwise (PR 4's claim).
-``fast_vs_reference``
-    The fast symmetric kernels agree with the reference kernels to
-    tight relative tolerance on a full cycle (PR 3's claim).
-``vector_identity``
-    The planned vectorized-assembly tier (``kernel_impl="vector"``,
-    :mod:`repro.constraints.plan`) agrees with the fast tier to the same
-    tight tolerance on a full serial cycle *and* on every requested
-    executor backend.
+``vector_vs_reference``
+    The production tier (``kernel_impl="vector"``: planned assembly of
+    :mod:`repro.constraints.plan` feeding the symmetric kernels of
+    :mod:`repro.linalg.fast`) agrees with the reference tier to tight
+    relative tolerance on one full serial cycle.  ``backend_identity``
+    covers the tier's parallel runs, because the scenario's options run
+    it.
 ``fault_clean``
     A solve under the scenario's injected fault profile (NaN-poisoned
     kernels, failed factorizations, corrupted observation vectors — all
@@ -51,7 +50,7 @@ from repro.scenarios.generator import Scenario, apply_edit_script
 from repro.scenarios.streaming import run_streaming
 from repro.util.timer import Timer
 
-#: Fast-vs-reference agreement (matches tests/test_fast_kernels.py).
+#: Vector-vs-reference agreement (matches tests/test_fast_kernels.py).
 FAST_RTOL = 1e-10
 FAST_ATOL = 1e-10
 #: Fault-vs-clean agreement, as max |Δ| over max magnitude: each
@@ -62,8 +61,7 @@ FAULT_RTOL = 1e-5
 
 #: Catalogue order is execution order (cheapest first).
 ALL_CHECKS = (
-    "fast_vs_reference",
-    "vector_identity",
+    "vector_vs_reference",
     "backend_identity",
     "warm_equals_cold",
     "fault_clean",
@@ -148,68 +146,26 @@ def _serial_cycle(scenario: Scenario, options: UpdateOptions | None = None):
 
 
 # ------------------------------------------------------------- the checks
-def check_fast_vs_reference(scenario: Scenario, executors=None) -> CheckResult:
-    """Fast kernels ≡ reference kernels to rtol on one full cycle."""
+def check_vector_vs_reference(scenario: Scenario, executors=None) -> CheckResult:
+    """Vector tier ≡ reference tier to rtol on one full serial cycle."""
     from dataclasses import replace
 
     timer = Timer()
     with timer:
-        fast = _serial_cycle(
-            scenario, replace(scenario.options, kernel_impl="fast")
+        vec = _serial_cycle(
+            scenario, replace(scenario.options, kernel_impl="vector")
         ).estimate
         ref = _serial_cycle(
             scenario, replace(scenario.options, kernel_impl="reference")
         ).estimate
         ok = bool(
-            np.allclose(fast.mean, ref.mean, rtol=FAST_RTOL, atol=FAST_ATOL)
+            np.allclose(vec.mean, ref.mean, rtol=FAST_RTOL, atol=FAST_ATOL)
             and np.allclose(
-                fast.covariance, ref.covariance, rtol=FAST_RTOL, atol=FAST_ATOL
+                vec.covariance, ref.covariance, rtol=FAST_RTOL, atol=FAST_ATOL
             )
         )
-    detail = "" if ok else f"max rel err {_max_rel_err(fast, ref):.3e}"
-    return CheckResult("fast_vs_reference", ok, timer.elapsed, detail)
-
-
-def check_vector_identity(scenario: Scenario, executors=None) -> CheckResult:
-    """Planned vectorized assembly ≡ fast tier to rtol, on every backend."""
-    from dataclasses import replace
-
-    from repro.core.hierarchy import assign_constraints
-    from repro.parallel.scheduler import ParallelHierarchicalSolver
-
-    timer = Timer()
-    mismatches = []
-    with timer:
-        fast = _serial_cycle(
-            scenario, replace(scenario.options, kernel_impl="fast")
-        ).estimate
-        vector_options = replace(scenario.options, kernel_impl="vector")
-        vec = _serial_cycle(scenario, vector_options).estimate
-        if not (
-            np.allclose(vec.mean, fast.mean, rtol=FAST_RTOL, atol=FAST_ATOL)
-            and np.allclose(
-                vec.covariance, fast.covariance, rtol=FAST_RTOL, atol=FAST_ATOL
-            )
-        ):
-            mismatches.append(f"serial: max rel err {_max_rel_err(vec, fast):.3e}")
-        for name, executor in (executors or {}).items():
-            hierarchy = scenario.fresh_hierarchy()
-            assign_constraints(hierarchy, scenario.problem.constraints)
-            par = ParallelHierarchicalSolver(
-                hierarchy,
-                batch_size=scenario.spec.batch_size,
-                options=vector_options,
-                executor=executor,
-            ).run_cycle(scenario.initial_estimate())
-            # Parallel vector ≡ serial vector bitwise (same kernels, same
-            # order), so comparing against the serial vector run keeps the
-            # backend sweep strict while the tier comparison stays at rtol.
-            if not _bitwise(par.estimate, vec):
-                mismatches.append(
-                    f"{name}: max rel err {_max_rel_err(par.estimate, vec):.3e}"
-                )
-    detail = "; ".join(mismatches) if mismatches else ""
-    return CheckResult("vector_identity", not mismatches, timer.elapsed, detail)
+    detail = "" if ok else f"max rel err {_max_rel_err(vec, ref):.3e}"
+    return CheckResult("vector_vs_reference", ok, timer.elapsed, detail)
 
 
 def check_backend_identity(scenario: Scenario, executors=None) -> CheckResult:
@@ -338,8 +294,7 @@ def check_streaming(scenario: Scenario, executors=None) -> CheckResult:
 
 
 CHECK_FUNCTIONS = {
-    "fast_vs_reference": check_fast_vs_reference,
-    "vector_identity": check_vector_identity,
+    "vector_vs_reference": check_vector_vs_reference,
     "backend_identity": check_backend_identity,
     "warm_equals_cold": check_warm_equals_cold,
     "fault_clean": check_fault_clean,

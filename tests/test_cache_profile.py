@@ -1,4 +1,4 @@
-"""Tests for the cache model, trace profiling and calibration."""
+"""Tests for the cache model and calibration."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,7 @@ from repro.experiments.calibration import (
     record_cycle,
     validate_against,
 )
-from repro.linalg.counters import KernelEvent, OpCategory, Recorder, recording
-from repro.linalg.profile import format_profile, profile_events, profile_recorder
+from repro.linalg.counters import KernelEvent, OpCategory
 from repro.machine import DASH
 from repro.machine.cache import DEFAULT_LOCALITY, CacheModel, dash_with_cache_model
 from repro.molecules.rna import build_helix
@@ -74,54 +73,6 @@ class TestCacheModel:
         )
         res = simulate_solve(cycle, p.hierarchy, cfg, 4)
         assert res.work_time > 0
-
-
-class TestTraceProfile:
-    def test_aggregates(self):
-        events = [
-            ev(OpCategory.MATMAT, 100.0, flops=10.0, seconds=1.0),
-            ev(OpCategory.MATMAT, 100.0, flops=30.0, seconds=1.0),
-            ev(OpCategory.VECTOR, 50.0, flops=5.0, seconds=0.5),
-        ]
-        prof = profile_events(events)
-        assert prof[OpCategory.MATMAT].calls == 2
-        assert prof[OpCategory.MATMAT].flops == 40.0
-        assert prof.total_flops == 45.0
-        assert prof.dominant_category() is OpCategory.MATMAT
-        assert prof.share(OpCategory.VECTOR) == pytest.approx(5.0 / 45.0)
-
-    def test_rates_and_intensity(self):
-        prof = profile_events([ev(OpCategory.SYSTEM, 200.0, flops=100.0, seconds=2.0)])
-        p = prof[OpCategory.SYSTEM]
-        assert p.achieved_flops == 50.0
-        assert p.arithmetic_intensity == 0.5
-        assert p.mean_call_flops == 100.0
-
-    def test_empty_categories_zero(self):
-        prof = profile_events([])
-        assert prof.total_flops == 0.0
-        assert prof[OpCategory.CHOLESKY].achieved_flops == 0.0
-        assert prof.share(OpCategory.CHOLESKY) == 0.0
-
-    def test_profile_recorder_and_format(self):
-        rec = Recorder()
-        rec.record(OpCategory.MATMAT, 1e6, 1e4, (10,), 0.01)
-        prof = profile_recorder(rec)
-        text = format_profile(prof)
-        assert "m-m" in text and "GF/s" in text
-
-    def test_real_solver_trace_mm_dominant(self, helix2_problem):
-        with recording() as rec:
-            HierarchicalSolver(helix2_problem.hierarchy, batch_size=16).run_cycle(
-                helix2_problem.initial_estimate(0)
-            )
-        prof = profile_recorder(rec)
-        assert prof.dominant_category() is OpCategory.MATMAT
-        # tiled dense product has by far the highest arithmetic intensity
-        assert (
-            prof[OpCategory.MATMAT].arithmetic_intensity
-            > prof[OpCategory.VECTOR].arithmetic_intensity
-        )
 
 
 class TestCalibration:

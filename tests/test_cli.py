@@ -295,6 +295,24 @@ class TestSessionCLI:
         out = capsys.readouterr().out
         assert "discarded the previous run" in out and "version" in out
 
+    def test_session_on_a_removed_kernel_tier_is_discarded(
+        self, session_dir, helix_file, capsys
+    ):
+        """A session written with kernel_impl="fast" (the old default)."""
+        manifest = session_dir / "session.json"
+        doc = json.loads(manifest.read_text())
+        doc["options"]["kernel_impl"] = "fast"
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="kernel_impl") as excinfo:
+            main(["resolve", "--session-dir", str(session_dir)])
+        assert str(session_dir) in str(excinfo.value)
+        assert main(["solve", str(helix_file), "--cycles", "2",
+                     "--session-dir", str(session_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "discarded the previous run" in out and "kernel_impl" in out
+        assert json.loads(manifest.read_text())["options"]["kernel_impl"] == "vector"
+        assert main(["resolve", "--session-dir", str(session_dir)]) == 0
+
     def test_edited_problem_is_not_resumed(self, helix_file, tmp_path, capsys):
         sdir = tmp_path / "d"
         with pytest.raises(SystemExit):
@@ -363,7 +381,7 @@ class TestFuzz:
         out = tmp_path / "fuzz.json"
         code = main(
             ["fuzz", "--seed", "0", "--budget", "3",
-             "--checks", "fast_vs_reference,warm_equals_cold",
+             "--checks", "vector_vs_reference,warm_equals_cold",
              "--out", str(out)]
         )
         assert code == 0
@@ -407,7 +425,7 @@ class TestFuzz:
         artifact = tmp_path / "failing.json"
         code = main(
             ["fuzz", "--seed", "0", "--budget", "1",
-             "--checks", "fast_vs_reference", "--minimize",
+             "--checks", "vector_vs_reference", "--minimize",
              "--fail-artifact", str(artifact)]
         )
         assert code == 1
@@ -417,7 +435,7 @@ class TestFuzz:
         doc = json.loads(artifact.read_text())
         entry = doc["failures"][0]
         assert entry["seed"] == 0
-        assert entry["failed_checks"] == ["fast_vs_reference"]
+        assert entry["failed_checks"] == ["vector_vs_reference"]
         assert "repro fuzz --seed 0" in entry["repro"]
         minimized = entry["minimized_spec"]
         assert minimized["n_constraints"] <= entry["spec"]["n_constraints"]

@@ -1,13 +1,14 @@
-"""Fast symmetric kernel path: unit tests and fast-vs-reference properties.
+"""Fast symmetric kernels: unit tests and vector-vs-reference properties.
 
-The fast path (``UpdateOptions.kernel_impl="fast"``) must agree with the
-reference kernels to rtol 1e-10 on full solves — helix workloads, random
-SPD problems, every executor backend and both dispatch modes — while its
-building blocks (``symm``, ``trsm_right``, ``syrk_downdate``, the
-workspace arena) each match their NumPy references exactly.  The
-``vector`` tier (planned assembly feeding the same fast kernels) joins a
-three-way harness: vector ≡ fast ≡ reference to the same tolerances,
-plus plan-cache reuse counters.
+The production tier (``UpdateOptions.kernel_impl="vector"``: planned
+assembly feeding the kernels of :mod:`repro.linalg.fast`) must agree
+with the reference tier to rtol 1e-10 on full solves — helix workloads,
+random SPD problems, mixed constraint types, every executor backend —
+while its building blocks (``symm``, ``trsm_right``, ``syrk_downdate``,
+the workspace arena) each match their NumPy references exactly.  The
+plan side is pinned too: a solve served from cached plans is bitwise
+the freshly compiled one, and each batch compiles one plan, Joseph form
+and local iterations included.
 """
 
 import threading
@@ -285,7 +286,7 @@ class TestWorkspace:
         assert arenas[0] is not get_workspace()
 
 
-# --------------------------------------------------- fast vs reference solves
+# ------------------------------------------------- vector vs reference solves
 def _random_problem(rng, p=10):
     coords = rng.normal(0, 2, (p, 3))
     constraints = [
@@ -317,39 +318,41 @@ def _run_flat(estimate, constraints, impl, **kwargs):
 
 
 class TestFastMatchesReference:
-    def test_invalid_impl_rejected(self, square_estimate, square_constraints):
-        batch = make_batches(square_constraints, 8)[0]
-        with pytest.raises(DimensionError, match="kernel_impl"):
-            apply_batch(
-                square_estimate, batch, options=UpdateOptions(kernel_impl="wat")
-            )
-        assert KERNEL_IMPLS == ("fast", "reference", "vector")
+    """The vector tier, which runs the fast kernels, against the reference
+    tier: symmetric in-place kernels change nothing but time."""
+
+    def test_invalid_impl_rejected(self):
+        assert KERNEL_IMPLS == ("reference", "vector")
+        assert UpdateOptions().kernel_impl == "vector"
+        for impl in ("wat", "fast"):
+            with pytest.raises(DimensionError, match="kernel_impl"):
+                UpdateOptions(kernel_impl=impl)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_spd_problems(self, seed):
         rng = np.random.default_rng(seed)
         estimate, constraints = _random_problem(rng)
         ref = _run_flat(estimate, constraints, "reference")
-        fast = _run_flat(estimate, constraints, "fast")
-        assert np.allclose(fast.mean, ref.mean, rtol=RTOL, atol=ATOL)
-        assert np.allclose(fast.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
+        vec = _run_flat(estimate, constraints, "vector")
+        assert np.allclose(vec.mean, ref.mean, rtol=RTOL, atol=ATOL)
+        assert np.allclose(vec.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
 
     def test_joseph_branch(self, rng):
         estimate, constraints = _random_problem(rng)
         ref = _run_flat(estimate, constraints, "reference", joseph=True)
-        fast = _run_flat(estimate, constraints, "fast", joseph=True)
-        assert np.allclose(fast.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
+        vec = _run_flat(estimate, constraints, "vector", joseph=True)
+        assert np.allclose(vec.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
 
     def test_local_iterations(self, rng):
         estimate, constraints = _random_problem(rng)
         ref = _run_flat(estimate, constraints, "reference", local_iterations=3)
-        fast = _run_flat(estimate, constraints, "fast", local_iterations=3)
-        assert np.allclose(fast.mean, ref.mean, rtol=RTOL, atol=ATOL)
+        vec = _run_flat(estimate, constraints, "vector", local_iterations=3)
+        assert np.allclose(vec.mean, ref.mean, rtol=RTOL, atol=ATOL)
 
     def test_fast_posterior_is_exactly_symmetric(self, rng):
         estimate, constraints = _random_problem(rng)
-        fast = _run_flat(estimate, constraints, "fast")
-        assert (fast.covariance == fast.covariance.T).all()
+        vec = _run_flat(estimate, constraints, "vector")
+        assert (vec.covariance == vec.covariance.T).all()
 
     def test_posterior_does_not_alias_workspace(self, rng):
         """A returned posterior must survive later batches untouched."""
@@ -367,16 +370,16 @@ class TestFastMatchesReference:
             batch_size=16,
             options=UpdateOptions(kernel_impl="reference"),
         ).run_cycle(est)
-        fast = HierarchicalSolver(
+        vec = HierarchicalSolver(
             helix2_problem.hierarchy,
             batch_size=16,
-            options=UpdateOptions(kernel_impl="fast"),
+            options=UpdateOptions(kernel_impl="vector"),
         ).run_cycle(est)
         assert np.allclose(
-            fast.estimate.mean, ref.estimate.mean, rtol=RTOL, atol=SOLVE_ATOL
+            vec.estimate.mean, ref.estimate.mean, rtol=RTOL, atol=SOLVE_ATOL
         )
         assert np.allclose(
-            fast.estimate.covariance,
+            vec.estimate.covariance,
             ref.estimate.covariance,
             rtol=RTOL,
             atol=SOLVE_ATOL,
@@ -425,6 +428,7 @@ class TestFastMatchesReference:
             # same kernels, same order: bitwise, not just close
             assert np.array_equal(par.estimate.mean, ref.estimate.mean)
 
+
 def _mixed_problem(rng, p=8):
     """A chain touching every group-protocol type plus scalar fallbacks."""
     coords = rng.normal(0, 2, (p, 3))
@@ -458,20 +462,22 @@ def _mixed_problem(rng, p=8):
 
 
 class TestVectorMatchesFastAndReference:
-    """Three-way harness: planned assembly must change nothing but time."""
+    """The plan side of the vector tier: planned assembly feeding the fast
+    kernels changes nothing but time, whether a batch's plan is freshly
+    compiled or served from the arena's cache."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_spd_problems(self, seed):
+        """A warm re-solve, every plan a cache hit, is bitwise the cold one."""
         rng = np.random.default_rng(seed)
         estimate, constraints = _random_problem(rng)
         ref = _run_flat(estimate, constraints, "reference")
-        fast = _run_flat(estimate, constraints, "fast")
-        vec = _run_flat(estimate, constraints, "vector")
-        for other in (ref, fast):
-            assert np.allclose(vec.mean, other.mean, rtol=RTOL, atol=ATOL)
-            assert np.allclose(
-                vec.covariance, other.covariance, rtol=RTOL, atol=ATOL
-            )
+        cold = _run_flat(estimate, constraints, "vector")
+        warm = _run_flat(estimate, constraints, "vector")
+        assert np.allclose(cold.mean, ref.mean, rtol=RTOL, atol=ATOL)
+        assert np.allclose(cold.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
+        assert np.array_equal(warm.mean, cold.mean)
+        assert np.array_equal(warm.covariance, cold.covariance)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_mixed_constraint_types(self, seed):
@@ -483,25 +489,40 @@ class TestVectorMatchesFastAndReference:
         assert np.allclose(vec.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
 
     def test_joseph_branch(self, rng):
+        """The Joseph form still assembles each batch through its plan."""
         estimate, constraints = _random_problem(rng)
-        fast = _run_flat(estimate, constraints, "fast", joseph=True)
+        ref = _run_flat(estimate, constraints, "reference", joseph=True)
+        ws = get_workspace()
+        ws.clear()
+        ws.plan_builds = ws.plan_hits = 0
         vec = _run_flat(estimate, constraints, "vector", joseph=True)
-        assert np.allclose(vec.covariance, fast.covariance, rtol=RTOL, atol=ATOL)
+        assert ws.plan_builds == len(make_batches(constraints, 8))
+        assert np.allclose(vec.mean, ref.mean, rtol=RTOL, atol=ATOL)
+        assert np.allclose(vec.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
 
     def test_local_iterations_relinearize_through_the_plan(self, rng):
+        """Every relinearization pass re-evaluates the batch's one plan."""
         estimate, constraints = _random_problem(rng)
-        fast = _run_flat(estimate, constraints, "fast", local_iterations=3)
+        ref = _run_flat(estimate, constraints, "reference", local_iterations=3)
+        ws = get_workspace()
+        ws.clear()
+        ws.plan_builds = ws.plan_hits = 0
         vec = _run_flat(estimate, constraints, "vector", local_iterations=3)
-        assert np.allclose(vec.mean, fast.mean, rtol=RTOL, atol=ATOL)
+        assert ws.plan_builds == len(make_batches(constraints, 8))
+        assert np.allclose(vec.mean, ref.mean, rtol=RTOL, atol=ATOL)
 
     def test_vector_posterior_does_not_alias_workspace(self, rng):
+        """Re-running a batch (a plan hit on the same arena buffers) leaves
+        the posterior it returned before untouched."""
         estimate, constraints = _random_problem(rng)
         batches = make_batches(constraints, 8)
         opts = UpdateOptions(kernel_impl="vector")
         first = apply_batch(estimate, batches[0], options=opts)
         snapshot = first.covariance.copy()
+        again = apply_batch(estimate, batches[0], options=opts)
         apply_batch(first, batches[1], options=opts)
         assert (first.covariance == snapshot).all()
+        assert (again.covariance == snapshot).all()
 
     def test_plan_cache_reused_across_solves(self, rng):
         """Re-solving the same constraints must hit, not rebuild, plans."""
@@ -518,33 +539,45 @@ class TestVectorMatchesFastAndReference:
         assert ws.plan_hits == builds
 
     def test_helix_hierarchical_solve(self, helix2_problem):
+        """A second cycle of one solver hits every plan and is bitwise the
+        first."""
         est = helix2_problem.initial_estimate(0)
         ref = HierarchicalSolver(
             helix2_problem.hierarchy,
             batch_size=16,
             options=UpdateOptions(kernel_impl="reference"),
         ).run_cycle(est)
-        vec = HierarchicalSolver(
+        solver = HierarchicalSolver(
             helix2_problem.hierarchy,
             batch_size=16,
             options=UpdateOptions(kernel_impl="vector"),
-        ).run_cycle(est)
+        )
+        cold = solver.run_cycle(est)
+        warm = solver.run_cycle(est)
         assert np.allclose(
-            vec.estimate.mean, ref.estimate.mean, rtol=RTOL, atol=SOLVE_ATOL
+            cold.estimate.mean, ref.estimate.mean, rtol=RTOL, atol=SOLVE_ATOL
         )
         assert np.allclose(
-            vec.estimate.covariance,
+            cold.estimate.covariance,
             ref.estimate.covariance,
             rtol=RTOL,
             atol=SOLVE_ATOL,
         )
+        assert np.array_equal(warm.estimate.mean, cold.estimate.mean)
+        assert np.array_equal(warm.estimate.covariance, cold.estimate.covariance)
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_fuzzed_vector_identity(self, seed):
+        """The fuzz catalogue's parallel ≡ serial check covers the vector
+        tier: a fuzzed scenario's own options are vector, and a thread
+        backend reproduces its serial cycle bitwise."""
         from repro.scenarios import generate_scenario
-        from repro.scenarios.invariants import check_vector_identity
+        from repro.scenarios.invariants import check_backend_identity
 
-        result = check_vector_identity(generate_scenario(seed))
+        scenario = generate_scenario(seed)
+        assert scenario.options.kernel_impl == "vector"
+        with ThreadExecutor(2) as ex:
+            result = check_backend_identity(scenario, {"thread": ex})
         assert result.ok, result.detail
 
 
@@ -559,7 +592,7 @@ class TestConsumeEstimate:
     reference tier.
     """
 
-    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    @pytest.mark.parametrize("impl", ["vector"])
     def test_consumed_chain_bitwise_equals_copying_chain(self, rng, impl):
         estimate, constraints = _random_problem(rng)
         batches = make_batches(constraints, 8)
@@ -585,7 +618,7 @@ class TestConsumeEstimate:
         assert (mid.covariance == snapshot).all()
         assert out.covariance is not mid.covariance
 
-    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    @pytest.mark.parametrize("impl", ["vector"])
     def test_default_still_preserves_the_input(self, rng, impl):
         estimate, constraints = _random_problem(rng)
         batches = make_batches(constraints, 8)
@@ -598,11 +631,10 @@ class TestConsumeEstimate:
     @pytest.mark.parametrize(
         "opts",
         [
-            UpdateOptions(kernel_impl="fast"),
             UpdateOptions(kernel_impl="vector"),
             UpdateOptions(kernel_impl="vector", local_iterations=2),
         ],
-        ids=["fast", "vector", "local_iterations"],
+        ids=["vector", "local_iterations"],
     )
     def test_half_stored_chain_bitwise_equals_full_chain(self, rng, opts):
         """The batch loops' opt-in: no mirror per batch, one at the end."""
@@ -639,7 +671,7 @@ class TestConsumeEstimate:
             out = apply_batch(out, batch, options=opts, half_stored=True)
             assert (out.covariance == out.covariance.T).all()
 
-    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    @pytest.mark.parametrize("impl", ["vector"])
     def test_local_iterations_consume_their_own_intermediates(self, rng, impl):
         """Iterations ≥2 own the running covariance even without the flag."""
         estimate, constraints = _random_problem(rng)
@@ -654,7 +686,7 @@ class TestConsumeEstimate:
 class TestSolversReturnExactlySymmetricCovariances:
     """Half storage never leaves a batch loop, on any solver or backend."""
 
-    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    @pytest.mark.parametrize("impl", ["vector"])
     def test_serial_solvers(self, helix2_problem, impl):
         est = helix2_problem.initial_estimate(0)
         opts = UpdateOptions(kernel_impl=impl)
@@ -665,7 +697,7 @@ class TestSolversReturnExactlySymmetricCovariances:
             assert np.array_equal(cov, cov.T)
 
     @pytest.mark.parametrize("backend", sorted(EXECUTORS))
-    @pytest.mark.parametrize("impl", ["fast", "vector"])
+    @pytest.mark.parametrize("impl", ["vector"])
     def test_parallel_solver(self, helix2_problem, backend, impl):
         est = helix2_problem.initial_estimate(0)
         with EXECUTORS[backend]() as ex:
@@ -680,7 +712,7 @@ class TestSolversReturnExactlySymmetricCovariances:
 
 
 class TestFastMatchesReferenceFuzzShapes:
-    """Fast-vs-reference agreement over fuzzer-generated shapes.
+    """Vector-vs-reference agreement over fuzzer-generated shapes.
 
     The hand-built problems above are all even-dimensioned, batch-16 and
     dense-support; the scenario generator covers the shapes they miss —
@@ -688,12 +720,12 @@ class TestFastMatchesReferenceFuzzShapes:
     on every topology family.
     """
 
-    @pytest.mark.parametrize("seed", [0, 2, 4, 6, 8])
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4, 6, 7, 8])
     def test_fuzzed_scenario_agrees(self, seed):
         from repro.scenarios import generate_scenario
-        from repro.scenarios.invariants import check_fast_vs_reference
+        from repro.scenarios.invariants import check_vector_vs_reference
 
-        result = check_fast_vs_reference(generate_scenario(seed))
+        result = check_vector_vs_reference(generate_scenario(seed))
         assert result.ok, result.detail
 
     @pytest.mark.parametrize("n_atoms", [5, 7, 13])
@@ -701,10 +733,10 @@ class TestFastMatchesReferenceFuzzShapes:
         from dataclasses import replace
 
         from repro.scenarios import build_scenario, spec_from_seed
-        from repro.scenarios.invariants import check_fast_vs_reference
+        from repro.scenarios.invariants import check_vector_vs_reference
 
         spec = replace(spec_from_seed(1), n_atoms=n_atoms, faults=None)
-        result = check_fast_vs_reference(build_scenario(spec))
+        result = check_vector_vs_reference(build_scenario(spec))
         assert result.ok, result.detail
 
     def test_rank_one_batches(self):
@@ -712,10 +744,10 @@ class TestFastMatchesReferenceFuzzShapes:
         from dataclasses import replace
 
         from repro.scenarios import build_scenario, spec_from_seed
-        from repro.scenarios.invariants import check_fast_vs_reference
+        from repro.scenarios.invariants import check_vector_vs_reference
 
         spec = replace(spec_from_seed(2), batch_size=1, faults=None)
-        result = check_fast_vs_reference(build_scenario(spec))
+        result = check_vector_vs_reference(build_scenario(spec))
         assert result.ok, result.detail
 
     def test_empty_support_constraint(self, rng):
@@ -728,20 +760,20 @@ class TestFastMatchesReferenceFuzzShapes:
             )
         )
         ref = _run_flat(estimate, constraints, "reference")
-        fast = _run_flat(estimate, constraints, "fast")
-        assert np.allclose(fast.mean, ref.mean, rtol=RTOL, atol=ATOL)
-        assert np.allclose(fast.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
+        vec = _run_flat(estimate, constraints, "vector")
+        assert np.allclose(vec.mean, ref.mean, rtol=RTOL, atol=ATOL)
+        assert np.allclose(vec.covariance, ref.covariance, rtol=RTOL, atol=ATOL)
 
     def test_leaf_only_tiny_pool(self):
         from dataclasses import replace
 
         from repro.scenarios import build_scenario, spec_from_seed
-        from repro.scenarios.invariants import check_fast_vs_reference
+        from repro.scenarios.invariants import check_vector_vs_reference
 
         spec = replace(
             spec_from_seed(3), topology="chain", leaf_only=True, faults=None
         )
-        result = check_fast_vs_reference(build_scenario(spec))
+        result = check_vector_vs_reference(build_scenario(spec))
         assert result.ok, result.detail
 
 

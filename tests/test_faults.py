@@ -332,15 +332,6 @@ class TestCholeskyDiagnostics:
         assert excinfo.value.condition_estimate == pytest.approx(3.0)
         assert excinfo.value.regularization == 0.0
 
-    def test_blocked_failure_keeps_panel_index_and_adds_diagnostics(self):
-        s = np.diag([1.0, 1.0, -1.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError) as excinfo:
-            cholesky_factor(s, block=1)
-        message = str(excinfo.value)
-        assert "panel at 2" in message
-        assert "condition estimate" in message
-        assert "attempted regularization" in message
-
     def test_regularization_level_threaded_through(self):
         s = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError) as excinfo:

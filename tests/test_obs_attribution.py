@@ -17,6 +17,7 @@ from repro import obs
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.hierarchy import assign_constraints
 from repro.faults import FaultConfig, FaultInjector, fault_injection
+from repro.linalg import get_workspace
 from repro.linalg.counters import recording
 from repro.obs.tracer import Tracer
 from repro.parallel import (
@@ -59,8 +60,16 @@ def _flops_by_tag(events):
 class TestRecorderAttribution:
     @pytest.fixture
     def reference(self, assigned_problem):
+        """The serial solver's attribution from a cold plan cache.
+
+        A plan build is recorded only on a cache miss, so the fixture
+        empties this thread's arena before and after its run: the run
+        under test then compiles its plans too, whichever thread it is on.
+        """
         hierarchy, estimate = assigned_problem
+        get_workspace().clear()
         cycle = HierarchicalSolver(hierarchy, batch_size=4).run_cycle(estimate)
+        get_workspace().clear()
         return _flops_by_tag(cycle.recorder.events)
 
     @pytest.mark.parametrize("backend", sorted(EXECUTORS))

@@ -60,9 +60,8 @@ class TestOrderConstraints:
     @pytest.mark.parametrize("strategy", ["given", "random", "locality"])
     def test_batching_preserves_strategy_order(self, helix2_problem, strategy):
         """The ordering ablation feeds ordered lists straight into
-        make_batches; its default must stay order-preserving (the opt-in
-        ``group_by_type=True`` regrouping would silently undo the study's
-        independent variable)."""
+        make_batches, so packing must preserve order (any regrouping
+        would silently undo the study's independent variable)."""
         from repro.constraints.batch import make_batches
 
         p = helix2_problem

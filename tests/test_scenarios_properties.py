@@ -2,7 +2,7 @@
 
 Every scenario a seed can produce must satisfy the repository's
 cross-cutting claims: serial/thread bit-identity, warm-resolve ≡
-cold-solve after edits, fast ≡ reference kernels, fault-injected runs
+cold-solve after edits, vector ≡ reference kernels, fault-injected runs
 converging to the clean posterior, and streaming arrivals matching full
 re-solves.  The named regression classes pin the concrete degenerate
 cases earlier fuzzing shook out, and the mutation smoke check proves the
@@ -35,7 +35,7 @@ from repro.scenarios import (
 from repro.scenarios.generator import _MIN_ATOMS
 from repro.scenarios.invariants import (
     FAULT_RTOL,
-    check_fast_vs_reference,
+    check_vector_vs_reference,
     check_fault_clean,
     check_warm_equals_cold,
 )
@@ -287,7 +287,7 @@ class TestMutationSmoke:
 
     def test_broken_kernel_is_caught(self, monkeypatch):
         self._break_fast_trsm(monkeypatch)
-        result = check_fast_vs_reference(generate_scenario(0))
+        result = check_vector_vs_reference(generate_scenario(0))
         assert not result.ok
         assert "rel err" in result.detail
 
@@ -296,7 +296,7 @@ class TestMutationSmoke:
         original = spec_from_seed(0)
 
         def still_fails(scenario):
-            return not check_fast_vs_reference(scenario).ok
+            return not check_vector_vs_reference(scenario).ok
 
         minimized = minimize_spec(original, still_fails)
         assert still_fails(build_scenario(minimized))
@@ -309,5 +309,5 @@ class TestMutationSmoke:
         )
 
     def test_unbroken_kernel_passes(self):
-        result = check_fast_vs_reference(generate_scenario(0))
+        result = check_vector_vs_reference(generate_scenario(0))
         assert result.ok, result.detail

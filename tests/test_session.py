@@ -708,7 +708,7 @@ class TestColdResume:
         for batch_size, options in (
             (8, UpdateOptions()),
             (16, UpdateOptions(local_iterations=2)),
-            (16, UpdateOptions(kernel_impl="vector")),
+            (16, UpdateOptions(kernel_impl="reference")),
         ):
             assert not loaded.resumes(
                 same.hierarchy, same.constraints,
@@ -754,13 +754,29 @@ class TestSessionErrors:
         with pytest.raises(CheckpointError, match="version"):
             SolveSession.load(tmp_path)
 
+    def test_load_rejects_a_kernel_tier_that_is_gone(self, helix2_problem, tmp_path):
+        """Sessions written when "fast" was the default tier name it."""
+        import json
+
+        session = SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, store=tmp_path
+        )
+        session.solve(helix2_problem.initial_estimate(0), max_cycles=1, tol=0.0)
+        path = tmp_path / "session.json"
+        doc = json.loads(path.read_text())
+        doc["options"]["kernel_impl"] = "fast"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="kernel_impl"):
+            SolveSession.load(tmp_path)
+
 
 class TestKernelPolicy:
-    """Table 1/Figure 5 run the fast kernels; Table 2 and the simulator
-    calibration stay pinned to the reference kernels (Equation 1's rates
-    are defined against the published kernel mix)."""
+    """Table 1/Figure 5, Table 2 and the simulator calibration all run the
+    reference kernels: Table 1 measures the paper's arithmetic claim on
+    the tier its documented numbers came from, and Equation 1's rates are
+    defined against the published kernel mix."""
 
-    def test_table1_defaults_to_fast(self):
+    def test_table1_pinned_to_reference(self):
         import repro.experiments.exp_table1 as exp_table1
 
         impls = []
@@ -778,7 +794,7 @@ class TestKernelPolicy:
             exp_table1.run_table1(lengths=(1,))
         finally:
             exp_table1.FlatSolver = original
-        assert impls == ["fast"]
+        assert impls == ["reference"]
 
     def test_table2_pinned_to_reference(self):
         import repro.experiments.exp_table2 as exp_table2

@@ -125,12 +125,6 @@ class TestUtilities:
         csr = CSRMatrix.from_dense(dense)
         assert np.array_equal(csr.column_support(), [1, 2])
 
-    def test_row_nonzero_columns(self):
-        dense = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-        csr = CSRMatrix.from_dense(dense)
-        assert np.array_equal(csr.row_nonzero_columns(0), [1, 2])
-        assert csr.row_nonzero_columns(1).size == 0
-
     def test_restrict_columns(self, rng):
         dense = np.zeros((3, 10))
         dense[:, [2, 5, 7]] = rng.normal(size=(3, 3))
@@ -143,20 +137,3 @@ class TestUtilities:
         csr = CSRMatrix.from_dense(np.array([[1.0, 2.0]]))
         with pytest.raises(DimensionError, match="outside"):
             csr.restrict_columns(np.array([0]))
-
-    def test_vstack(self, rng):
-        a = random_sparse(rng, (2, 5))
-        b = random_sparse(rng, (3, 5))
-        stacked = CSRMatrix.from_dense(a).vstack(CSRMatrix.from_dense(b))
-        assert np.allclose(stacked.to_dense(), np.vstack([a, b]))
-
-    def test_vstack_mismatch(self):
-        a = CSRMatrix.from_dense(np.eye(2))
-        b = CSRMatrix.from_dense(np.eye(3))
-        with pytest.raises(DimensionError, match="equal column counts"):
-            a.vstack(b)
-
-    def test_transpose_dense(self, rng):
-        dense = random_sparse(rng, (4, 6))
-        csr = CSRMatrix.from_dense(dense)
-        assert np.allclose(csr.transpose_dense(), dense.T)

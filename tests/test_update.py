@@ -1,5 +1,7 @@
 """Tests for the sequential update algorithm (Figure 1)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,16 @@ class TestNonlinear:
         c = DistanceConstraint(0, 1, 2.0, 0.1)
         with pytest.raises(DimensionError):
             apply_batch(est, ConstraintBatch((c,)), options=UpdateOptions(local_iterations=0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"local_iterations": 0}, {"noise_scale": 0.0}, {"kernel_impl": "fast"}],
+    )
+    def test_options_validated_at_construction(self, bad):
+        with pytest.raises(DimensionError):
+            UpdateOptions(**bad)
+        with pytest.raises(DimensionError):
+            replace(UpdateOptions(), **bad)
 
 
 class TestLocalColumnMap:
