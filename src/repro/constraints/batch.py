@@ -10,6 +10,7 @@ node's state columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,10 @@ class ConstraintBatch:
         cached = self._atoms
         if cached is None:
             cached = np.unique(
-                np.concatenate([np.asarray(c.atoms) for c in self.constraints])
+                np.fromiter(
+                    chain.from_iterable(c.atoms for c in self.constraints),
+                    dtype=np.int64,
+                )
             )
             object.__setattr__(self, "_atoms", cached)
         return cached

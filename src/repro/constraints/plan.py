@@ -12,7 +12,8 @@ A :class:`BatchPlan` factors that invariant part out.  Building a plan
 (once per batch) groups the constraints by exact type, packs each
 vectorizable group's atom indices and targets into arrays (the group
 protocol documented on :class:`~repro.constraints.base.Constraint`), and
-precomputes:
+precomputes, with one NumPy pass per group of constraints that share an
+atom count and a row count rather than one per constraint:
 
 * the CSR ``indices``/``indptr`` of the batch Jacobian, identical to what
   ``assemble_batch`` produces (the same (row, column)-sorted layout);
@@ -54,6 +55,9 @@ __all__ = ["BatchPlan"]
 #: Flop estimate per row for the scalar-fallback path (matches the legacy
 #: assembler's accounting in :func:`repro.constraints.batch.assemble_batch`).
 _SCALAR_FLOPS_PER_ROW = 40.0
+
+#: Coordinate offsets within an atom's three state columns.
+_ARANGE3 = np.arange(3)
 
 
 @dataclass(frozen=True)
@@ -102,60 +106,64 @@ class BatchPlan:
         t0 = timed()
         # Strong references pin the constraint objects while the plan is
         # cached, keeping id()-based cache keys collision-free.
-        self.constraints = batch.constraints
+        cs = self.constraints = batch.constraints
         m = batch.dimension
         n = int(n_columns)
         self.m = m
         self.n = n
 
-        arange3 = np.arange(3)
-        row_widths = np.empty(m, dtype=np.int64)
-        indices_parts: list[np.ndarray] = []
-        grouped: dict[type | None, dict[str, list]] = {}
-        variance = np.empty(m, dtype=np.float64)
-        nnz = 0
-        row0 = 0
-        for c in batch.constraints:
-            d = c.dimension
-            atom_ids = np.asarray(c.atoms, dtype=np.int64)
-            if atom_to_column is not None:
-                slots = atom_to_column[atom_ids]
-                if np.any(slots < 0):
-                    raise ConstraintError(
-                        f"constraint touches atoms outside the local column map: {c.atoms}"
-                    )
-            else:
-                slots = atom_ids
-            cols = (3 * slots[:, None] + arange3[None, :]).ravel()  # (3·na,)
-            w = cols.shape[0]
-            # CSR stores each row's columns sorted; rank[v] is where local
-            # jacobian column v lands within the sorted row.
-            order = np.argsort(cols, kind="stable")
-            rank = np.empty(w, dtype=np.int64)
-            rank[order] = np.arange(w)
-            row_starts = nnz + w * np.arange(d, dtype=np.int64)
-            dpos = (row_starts[:, None] + rank[None, :]).ravel()
-            indices_parts.append(np.tile(cols[order], d))
-            row_widths[row0 : row0 + d] = w
-            variance[row0 : row0 + d] = c.variance
-            ctype = type(c)
-            key = ctype if _has_group_protocol(ctype) else None
-            g = grouped.setdefault(
-                key, {"constraints": [], "rows": [], "dpos": [], "row0": []}
-            )
-            g["constraints"].append(c)
-            g["rows"].append(np.arange(row0, row0 + d, dtype=np.int64))
-            g["dpos"].append(dpos)
-            g["row0"].append(row0)
-            nnz += d * w
-            row0 += d
+        # Constraint c owns rows [row0, row0 + d) of the batch and the
+        # d·w entries of the CSR data from offset on, w = 3·(atom count).
+        # Its variance holds one entry per row, so it gives d.
+        variances = [c.variance for c in cs]
+        dims = [len(v) for v in variances]
+        n_atoms = [len(c.atoms) for c in cs]
+        d_arr = np.array(dims, dtype=np.int64)
+        w_arr = 3 * np.array(n_atoms, dtype=np.int64)
+        sizes = d_arr * w_arr
+        ends = sizes.cumsum()
+        nnz = int(ends[-1])
+        offsets = ends - sizes
+        variance = np.concatenate(variances, dtype=np.float64)
 
-        indices = np.concatenate(indices_parts)
+        # One pass per group of constraints that share an atom count and
+        # a row count.  CSR stores each row's columns sorted; rank[v] is
+        # where local Jacobian column v lands within its sorted row.
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(n_atoms, dims)):
+            shapes.setdefault(key, []).append(i)
+        indices = np.empty(nnz, dtype=np.int64)
+        data_pos = np.empty(nnz, dtype=np.int64)
+        first_bad = len(cs)
+        for (na, d), members in shapes.items():
+            atoms = np.array([cs[i].atoms for i in members], dtype=np.int64)
+            if atom_to_column is not None:
+                atoms = atom_to_column[atoms]
+                if atoms.min() < 0:
+                    bad = int((atoms < 0).any(axis=1).argmax())
+                    first_bad = min(first_bad, members[bad])
+            w = 3 * na
+            cols = (3 * atoms[:, :, None] + _ARANGE3).reshape(len(members), w)
+            order = cols.argsort(axis=1, kind="stable")
+            rank = order.argsort(axis=1, kind="stable")
+            # (g, d): the data offset of each member's rows; (g, d, w): the
+            # entries, scattered in place at the members' nnz offsets.
+            row_starts = offsets[members][:, None] + np.arange(0, d * w, w)
+            entries = row_starts[:, :, None] + np.arange(w)
+            indices[entries] = np.sort(cols, axis=1)[:, None, :]
+            data_pos[entries] = row_starts[:, :, None] + rank[:, None, :]
+        if first_bad < len(cs):
+            raise ConstraintError(
+                "constraint touches atoms outside the local column map: "
+                f"{cs[first_bad].atoms}"
+            )
+
+        row_widths = np.repeat(w_arr, d_arr)
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(row_widths, out=indptr[1:])
         support = np.unique(indices)
         # Dense-restriction scatter: H[:, support].to_dense().ravel()[pos].
-        pos_in_support = np.searchsorted(support, indices)
+        pos_in_support = support.searchsorted(indices)
         row_ids = np.repeat(np.arange(m, dtype=np.int64), row_widths)
         dense_pos = row_ids * support.shape[0] + pos_in_support
 
@@ -168,26 +176,47 @@ class BatchPlan:
         self.support = support
         self.dense_pos = dense_pos
         self.variance = variance
-        self.nnz = int(nnz)
+        self.nnz = nnz
 
+        # Same-type groups in order of first appearance; a constraint type
+        # without the group protocol (key None) takes the scalar fallback.
+        types = [type(c) for c in cs]
+        key_of = {t: t if _has_group_protocol(t) else None for t in set(types)}
+        by_type: dict[type | None, list[int]] = {}
+        for i, t in enumerate(types):
+            by_type.setdefault(key_of[t], []).append(i)
+        if len(by_type) == 1:
+            # One type, like every helix batch: the group is the batch.
+            select = {key_of[types[0]]: (np.arange(m, dtype=np.int64), data_pos)}
+        else:
+            code_of = {key: code for code, key in enumerate(by_type)}
+            codes = np.array([code_of[key_of[t]] for t in types])
+            row_code = np.repeat(codes, d_arr)
+            entry_code = np.repeat(codes, sizes)
+            select = {
+                key: (np.flatnonzero(row_code == code), data_pos[entry_code == code])
+                for key, code in code_of.items()
+            }
         self.vector_groups: tuple[_VectorGroup, ...] = tuple(
             _VectorGroup(
                 ctype=key,
-                rows=np.concatenate(g["rows"]),
-                pack=key.pack_group(g["constraints"]),
-                data_pos=np.concatenate(g["dpos"]),
+                rows=select[key][0],
+                pack=key.pack_group([cs[i] for i in members]),
+                data_pos=select[key][1],
                 flops_per_row=float(
                     getattr(key, "_VECTOR_FLOPS_PER_ROW", _SCALAR_FLOPS_PER_ROW)
                 ),
             )
-            for key, g in grouped.items()
+            for key, members in by_type.items()
             if key is not None
         )
+        scalar = by_type.get(None, [])
+        row0 = d_arr.cumsum() - d_arr if scalar else None
         self.scalar_items: tuple[_ScalarItem, ...] = tuple(
-            _ScalarItem(c, r0, c.dimension, dp)
-            for key, g in grouped.items()
-            if key is None
-            for c, r0, dp in zip(g["constraints"], g["row0"], g["dpos"])
+            _ScalarItem(
+                cs[i], int(row0[i]), dims[i], data_pos[offsets[i] : ends[i]]
+            )
+            for i in scalar
         )
         seconds = timed() - t0
         # Plan builds are dominated by the per-constraint sort/scatter

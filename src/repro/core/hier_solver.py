@@ -230,6 +230,9 @@ class HierarchicalSolver:
         cache: "NodeCacheProtocol | None" = None,
     ) -> StructureEstimate:
         timer = Timer()
+        # Summed over the node's constraints, which session edits change
+        # in place, so counted once per visit rather than cached.
+        rows = node.n_constraint_rows
         with obs.span(
             f"node[{node.nid}]",
             cat="solve",
@@ -237,7 +240,7 @@ class HierarchicalSolver:
             node_name=node.name,
             depth=node.depth,
             state_dim=node.state_dim,
-            rows=node.n_constraint_rows,
+            rows=rows,
             leaf=node.is_leaf,
             batch_size=self.batch_size,
             parent_nid=-1 if node.parent is None else node.parent.nid,
@@ -273,7 +276,7 @@ class HierarchicalSolver:
                 name=node.name,
                 depth=node.depth,
                 state_dim=node.state_dim,
-                n_constraint_rows=node.n_constraint_rows,
+                n_constraint_rows=rows,
                 n_batches=n_batches,
                 seconds=timer.elapsed,
                 events=list(events),

@@ -197,6 +197,7 @@ def apply_batch(
     step: int = 0,
     consume_estimate: bool = False,
     half_stored: bool = False,
+    coords: _CoordsView | None = None,
 ) -> StructureEstimate:
     """Apply one constraint batch to ``estimate`` and return the posterior.
 
@@ -224,6 +225,9 @@ def apply_batch(
     returned half-stored, for the loop's next batch to read or for the
     loop to mirror once.  Where the update leaves nothing half-stored
     (:func:`half_storage_applies` is false) the flag has no effect.
+    ``coords`` is the batch loop's coordinate scratch for
+    ``atom_to_column`` (a :class:`_CoordsView`), shared by all of its
+    batches; without it the call makes its own.
     """
     noise_scale = options.noise_scale
     if options.schedule is not None:
@@ -249,17 +253,18 @@ def apply_batch(
             if options.kernel_impl == "reference"
             else get_workspace().plan_for(batch, atom_to_column, n_columns=n)
         )
-        coords_owner: _CoordsView | None = None
+        if coords is None:
+            coords = _CoordsView(atom_to_column)
         # After the first local iteration the running (x, c) is this call's
         # own intermediate, so later iterations always own the covariance.
         c_owned = consume_estimate
         for _ in range(options.local_iterations):
-            coords_owner = _CoordsView(x, atom_to_column, reuse=coords_owner)
+            xyz = coords.fill(x)
             if plan is not None:
-                z, h, big_h, r, support, h_s = plan.assemble(coords_owner.coords)
+                z, h, big_h, r, support, h_s = plan.assemble(xyz)
             else:
                 z, h, big_h, r = assemble_batch(
-                    batch, coords_owner.coords, atom_to_column, n_columns=n
+                    batch, xyz, atom_to_column, n_columns=n
                 )
                 support = h_s = None
             if noise_scale != 1.0:
@@ -304,7 +309,8 @@ def apply_batches(
     posterior.  Retry reports go to ``retries``.
 
     Each batch's output is the loop's own intermediate, so it is passed
-    on half-stored and with ``consume_estimate=True``.  The input
+    on half-stored and with ``consume_estimate=True``.  All batches share
+    one coordinate scratch (``coords``).  The input
     ``estimate`` is consumed only when the caller opts in with
     ``consume_estimate``, declaring that it built ``estimate`` for this
     loop alone: the first batch then downdates its covariance in place
@@ -317,6 +323,7 @@ def apply_batches(
     """
     current = estimate
     produced = False
+    coords = _CoordsView(atom_to_column)
     for step, batch in enumerate(batches):
         try:
             current = apply(
@@ -328,6 +335,7 @@ def apply_batches(
                 step=step,
                 consume_estimate=consume_estimate or produced,
                 half_stored=True,
+                coords=coords,
             )
             produced = True
         except BatchUpdateError as exc:
@@ -598,41 +606,34 @@ def _fast_steps(
 
 
 class _CoordsView:
-    """Expose a local state vector as global-shaped coordinates.
+    """Global-shaped coordinates of a local state vector.
 
     Constraints index coordinates by *global* atom id.  For a node-local
-    state we build a scratch ``(p_global, 3)`` array holding the local
-    atoms' coordinates at their global rows; rows of atoms outside the node
-    stay zero and must never be read (the batch assembler validates that
-    every constraint atom maps into the local column map).
-
-    ``reuse`` accepts the previous iteration's view so the scratch array
-    (and the owned-row index) is refilled in place instead of reallocated
-    on every local relinearization pass — unowned rows were zeroed once
-    and are never written, so the refill only touches owned rows.
+    state (an ``atom_to_column`` map) this is a scratch ``(p_global, 3)``
+    array that :meth:`fill` loads with the local atoms' coordinates at
+    their global rows; rows of atoms outside the node stay zero and must
+    never be read (the batch assembler validates that every constraint
+    atom maps into the local column map).  A batch loop fills one scratch
+    for each of its batches and local relinearization passes: unowned
+    rows were zeroed once and are never written, so a refill touches only
+    owned rows.  Without a map the coordinates are a view of the state.
     """
 
-    def __init__(
-        self,
-        x: np.ndarray,
-        atom_to_column: np.ndarray | None,
-        reuse: "_CoordsView | None" = None,
-    ):
+    def __init__(self, atom_to_column: np.ndarray | None):
         if atom_to_column is None:
-            self.coords = x.reshape(-1, 3)
-            self.owned = None
+            self.coords = self.owned = self.slots = None
         else:
-            p_global = atom_to_column.shape[0]
-            local = x.reshape(-1, 3)
-            if reuse is not None and reuse.owned is not None:
-                coords = reuse.coords
-                owned = reuse.owned
-            else:
-                coords = np.zeros((p_global, 3), dtype=np.float64)
-                owned = np.nonzero(atom_to_column >= 0)[0]
-            coords[owned] = local[atom_to_column[owned]]
-            self.coords = coords
-            self.owned = owned
+            self.coords = np.zeros((atom_to_column.shape[0], 3), dtype=np.float64)
+            self.owned = np.nonzero(atom_to_column >= 0)[0]
+            self.slots = atom_to_column[self.owned]
+
+    def fill(self, x: np.ndarray) -> np.ndarray:
+        """The coordinates of state ``x``, as a ``(p, 3)`` array."""
+        local = x.reshape(-1, 3)
+        if self.coords is None:
+            return local
+        self.coords[self.owned] = local[self.slots]
+        return self.coords
 
 
 def _joseph_update(

@@ -21,10 +21,28 @@ module                       paper exhibit
 ===========================  =======================================
 """
 
-from repro.experiments.exp_table1 import Table1Row, run_table1
-from repro.experiments.exp_table2 import Table2Result, run_table2
-from repro.experiments.exp_parallel import ParallelExperiment, run_parallel_experiment
-from repro.experiments import paper_data, report
+import importlib
+
+# Lazy, so that ``python -m repro.experiments`` imports no numpy before
+# its ``__main__`` pins the BLAS threads.
+_LAZY = {
+    "Table1Row": "repro.experiments.exp_table1",
+    "run_table1": "repro.experiments.exp_table1",
+    "Table2Result": "repro.experiments.exp_table2",
+    "run_table2": "repro.experiments.exp_table2",
+    "ParallelExperiment": "repro.experiments.exp_parallel",
+    "run_parallel_experiment": "repro.experiments.exp_parallel",
+}
+_SUBMODULES = ("paper_data", "report")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(_LAZY[name]), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ParallelExperiment",

@@ -10,12 +10,22 @@ Usage::
 
 ``--quick`` shrinks workloads (shorter helices, sparser grids) for smoke
 runs; the default sizes regenerate the paper's exhibits in full.
+
+BLAS gets one thread unless the caller set the thread variables (an
+explicit value wins), as for ``python -m repro``: Tables 1 and 2 time
+small kernels on the host, which a multithreaded BLAS turns into noise.
+The variables take effect only before numpy is first imported, so
+``repro/experiments/__init__.py`` imports nothing eagerly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 
 def _table1(quick: bool) -> None:

@@ -6,17 +6,19 @@ batched moderately) and then solves against the n×m matrix ``C⁻Hᵗ`` to
 obtain the gain.  Factorization is a ``chol`` event; the paired triangular
 solves are ``sys`` events emitted by :mod:`repro.linalg.triangular`.
 
-The factorization is LAPACK ``potrf``.  Its event records the count of
-16-wide panels as ``parallel_rows``, the width the machine simulator's
-cost model reads: the paper observes Cholesky parallelizes poorly
-because the factored matrices are small and the panel factorization is
-a serial dependency chain.
+The factorization is LAPACK ``potrf``, called as ``scipy.linalg.cholesky``
+calls it (so bitwise the same) minus that wrapper's argument handling,
+which costs several times a 16×16 factorization.  Its event records the
+count of 16-wide panels as ``parallel_rows``, the width the machine
+simulator's cost model reads: the paper observes Cholesky parallelizes
+poorly because the factored matrices are small and the panel
+factorization is a serial dependency chain.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf
 
 from repro.errors import DimensionError, NotPositiveDefiniteError
 from repro.faults.injector import current_injector
@@ -64,10 +66,15 @@ def cholesky_factor(s: np.ndarray, regularization: float = 0.0) -> np.ndarray:
         injector.maybe_fail_cholesky()
     m = s.shape[0]
     t0 = timed()
-    try:
-        lower = scipy.linalg.cholesky(s, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise _not_pd(str(exc), s, regularization) from exc
+    lower, info = dpotrf(s, lower=1, clean=1)
+    if info > 0:
+        message = f"{info}-th leading minor of the array is not positive definite"
+        raise _not_pd(message, s, regularization)
+    if info < 0:
+        raise ValueError(
+            f"LAPACK reported an illegal value in {-info}-th argument "
+            'on entry to "POTRF".'
+        )
     seconds = timed() - t0
     flops = m**3 / 3.0
     emit(OpCategory.CHOLESKY, flops, 8.0 * 2 * s.size, (m,), seconds,

@@ -59,6 +59,17 @@ __all__ = [
     "trsm_right",
 ]
 
+#: Largest node dimension at which :func:`gather_cht` fills the stale
+#: left-of-diagonal part of its gathered rows with one masked copy of
+#: ``C[:, support]ᵀ`` instead of one slice per support column.  The
+#: masked copy reads ``C`` by columns, so it loses once a column gather
+#: spans too many cache lines: measured masked/loop time 0.5 at n = 129
+#: (60 support columns), 0.8–1.0 at n = 240–290 and 1.3–2.0 from n = 320
+#: up (90 columns), 3.3 at n = 2700 (96 columns); 2-vCPU host, one BLAS
+#: thread.  Both paths copy the same values, so the product is bitwise
+#: the same either way.
+_MASKED_GATHER_MAX_N = 256
+_ARANGE = np.arange(_MASKED_GATHER_MAX_N)
 
 
 def symm(
@@ -135,9 +146,13 @@ def gather_cht(
     t0 = timed()
     cs = c[support, :]  # (s, n) row gather; C symmetric so rows == columns
     # Left of the diagonal those rows may be stale; take them from the
-    # columns above it instead.
-    for r, i in enumerate(support.tolist()):
-        cs[r, :i] = c[:i, i]
+    # columns above it instead: in one masked copy on a small node, one
+    # contiguous row slice per support column on a large one.
+    if n <= _MASKED_GATHER_MAX_N:
+        np.copyto(cs, c[:, support].T, where=_ARANGE[:n] < support[:, None])
+    else:
+        for r, i in enumerate(support.tolist()):
+            cs[r, :i] = c[:i, i]
     if out is None:
         cht_t = np.dot(h_support, cs)
     else:

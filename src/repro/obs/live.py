@@ -68,6 +68,12 @@ DEFAULT_TRIGGERS = frozenset(
 
 _NPD_ERROR = "NotPositiveDefiniteError"
 
+#: A batch loop quarantines each batch whose update failed terminally, so
+#: ``update.batch_failed`` is followed, on the same thread, by
+#: ``batch.quarantined``.  Both trigger; the pair is one failure and gets
+#: one dump.
+_FAILED, _QUARANTINED = "update.batch_failed", "batch.quarantined"
+
 
 class FlightRecorder(Tracer):
     """A Tracer that keeps its last ``capacity`` records and dumps them on triggers.
@@ -83,6 +89,11 @@ class FlightRecorder(Tracer):
     triggers but never writes: they wait in :meth:`payload` and re-fire
     in the parent's :meth:`merge`.  ``max_dumps`` rate-limits artifact
     creation so a crash storm cannot fill a disk.
+
+    A terminal batch failure fires twice: ``update.batch_failed`` dumps at
+    once, and the ``batch.quarantined`` that follows on the same thread
+    (``pid``, ``tid``) rewrites that dump in place, so each failing batch
+    leaves one dump holding both instants and spends one of ``max_dumps``.
     """
 
     def __init__(
@@ -103,6 +114,8 @@ class FlightRecorder(Tracer):
         self.dumps: list[Path] = []
         self._order: deque[bool] = deque()  # commit order; True = a span
         self._pending: list[dict] = []
+        # (pid, tid) → the dump of a failed batch its quarantine completes
+        self._failing: dict[tuple[int, int], tuple[Path, Mapping[str, Any]]] = {}
 
     @property
     def dropped(self) -> int:
@@ -134,14 +147,22 @@ class FlightRecorder(Tracer):
 
     def _check(self, ev: Instant) -> None:
         if ev.name in self.triggers or ev.attrs.get("error") == _NPD_ERROR:
-            self._fire(ev.name, ev.attrs)
+            self._fire(ev.name, ev.attrs, (ev.pid, ev.tid))
 
-    def _fire(self, name: str, attrs: Mapping[str, Any]) -> None:
+    def _fire(
+        self, name: str, attrs: Mapping[str, Any], lane: tuple[int, int] | None
+    ) -> None:
         if self.dump_dir is None:
             with self._lock:
-                self._pending.append({"name": name, "attrs": dict(attrs)})
+                self._pending.append({"name": name, "attrs": dict(attrs), "lane": lane})
+            return
+        failed = self._failing.pop(lane, None) if name == _QUARANTINED else None
+        if failed is not None:
+            self._write(failed[0], _FAILED, failed[1])
         elif len(self.dumps) < self.max_dumps:
-            self.dump(reason=name, trigger=attrs)
+            path = self.dump(reason=name, trigger=attrs)
+            if name == _FAILED:
+                self._failing[lane] = (path, dict(attrs))
 
     # --------------------------------------------------------------- dumping
     def dump(
@@ -159,6 +180,13 @@ class FlightRecorder(Tracer):
             slug = reason.replace(".", "-").replace("/", "-")
             name = f"flight-{slug}-{stamp}-{len(self.dumps) + 1:02d}.jsonl"
             path = self.dump_dir / name
+        path = self._write(path, reason, trigger)
+        self.dumps.append(path)
+        return path
+
+    def _write(
+        self, path: str | Path, reason: str, trigger: Mapping[str, Any] | None
+    ) -> Path:
         with self._lock:
             meta = {
                 "reason": reason,
@@ -171,9 +199,7 @@ class FlightRecorder(Tracer):
             }
             if trigger is not None:
                 meta["trigger"] = dict(trigger)
-            path = write_spans_jsonl(self, path, meta)
-        self.dumps.append(path)
-        return path
+            return write_spans_jsonl(self, path, meta)
 
     # ------------------------------------------------------- worker transport
     def payload(self) -> dict:
@@ -184,7 +210,7 @@ class FlightRecorder(Tracer):
         """Fold a worker ring's :meth:`payload` in, then fire its triggers here."""
         super().merge(payload, parent_id)
         for pending in (payload or {}).get("triggers", ()):
-            self._fire(pending["name"], pending["attrs"])
+            self._fire(pending["name"], pending["attrs"], pending["lane"])
 
 
 @contextmanager

@@ -197,3 +197,47 @@ class TestUncertaintyValidation:
         a = run_uncertainty_validation(n_trials=3, seed=5)
         b = run_uncertainty_validation(n_trials=3, seed=5)
         assert np.array_equal(a.z_scores, b.z_scores)
+
+
+_BLAS_AFTER_RUNNER_IMPORT = """
+import json, os, sys
+import repro.experiments.__main__  # what `python -m repro.experiments` runs
+from perfbench.hostenv import BLAS_THREAD_VARS, blas_libraries
+print(json.dumps({
+    "vars": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+    "threads": [lib["threads"] for lib in blas_libraries()],
+}))
+"""
+
+
+class TestRunnerPinsBlas:
+    """``python -m repro.experiments`` times Tables 1-2 on one BLAS thread."""
+
+    def _run(self, **env_vars):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from perfbench.hostenv import BLAS_THREAD_VARS
+
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(env_vars, PYTHONPATH=os.pathsep.join([str(src), str(src.parent)]))
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_AFTER_RUNNER_IMPORT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_unset_variables_are_pinned_before_numpy_loads(self):
+        report = self._run()
+        assert set(report["vars"].values()) == {"1"}
+        assert report["threads"] and set(report["threads"]) == {1}
+
+    def test_an_explicit_value_wins(self):
+        report = self._run(OPENBLAS_NUM_THREADS="2")
+        assert report["vars"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert report["vars"]["OMP_NUM_THREADS"] == "1"

@@ -219,6 +219,19 @@ class TestHalfStorage:
         full = gather_cht(c, h_s, support)
         assert np.array_equal(gather_cht(_stale_lower(c), h_s, support), full)
 
+    @pytest.mark.parametrize("n", [42, 256, 257, 600])
+    def test_gather_cht_paths_equal_the_full_row_gather(self, rng, n):
+        """Small nodes fill the stale part of the gathered rows with one
+        masked copy, large ones row by row; either way the product is the
+        one over the rows of the full matrix, bit for bit."""
+        c = _spd(rng, n)
+        c = np.triu(c) + np.triu(c, 1).T  # exactly symmetric
+        support = np.sort(rng.choice(n, 19, replace=False))
+        h_s = rng.normal(0, 1, (5, support.size))
+        expected = np.dot(h_s, c[support, :]).T
+        assert np.array_equal(gather_cht(_stale_lower(c), h_s, support), expected)
+        assert np.array_equal(gather_cht(c, h_s, support), expected)
+
     def test_unmirrored_downdate_then_completion_equals_mirrored(self, rng):
         c = _spd(rng, 13)
         w = rng.normal(0, 1, (13, 3))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.errors import DimensionError, NotPositiveDefiniteError
 from repro.linalg.cholesky import cholesky_factor, cholesky_solve
@@ -157,6 +158,51 @@ class TestCholesky:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionError):
             cholesky_factor(np.zeros((2, 3)))
+
+
+class TestDirectLapackMatchesScipy:
+    """The kernels call potrf/trtrs directly; the bits are scipy's."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cholesky_factor(self, rng, order):
+        s = np.array(spd(rng, 16), order=order)
+        lower = cholesky_factor(s)
+        expected = scipy.linalg.cholesky(s, lower=True, check_finite=False)
+        assert np.array_equal(lower, expected)
+        assert lower.flags.f_contiguous == expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("tri_order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", ["vector", "C", "F"])
+    def test_triangular_solves(self, rng, tri_order, rhs):
+        lower = np.array(np.linalg.cholesky(spd(rng, 16)), order=tri_order)
+        b = rng.normal(size=16) if rhs == "vector" else np.array(
+            rng.normal(size=(16, 40)), order=rhs
+        )
+        for ours, tri, is_lower in (
+            (solve_lower, lower, True),
+            (solve_upper, lower.T, False),
+        ):
+            expected = scipy.linalg.solve_triangular(
+                tri, b, lower=is_lower, check_finite=False
+            )
+            assert np.array_equal(ours(tri, b), expected)
+
+    def test_not_positive_definite_keeps_its_diagnostics(self):
+        s = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            cholesky_factor(s, regularization=1e-3)
+        message = str(excinfo.value)
+        assert message.startswith(
+            "2-th leading minor of the array is not positive definite"
+        )
+        assert "condition estimate 3.000e+00" in message
+        assert "attempted regularization 1.000e-03" in message
+        assert excinfo.value.condition_estimate == pytest.approx(3.0)
+        assert excinfo.value.regularization == 1e-3
+
+    def test_singular_triangle_raises_like_scipy(self):
+        with pytest.raises(np.linalg.LinAlgError, match="resolution failed at diagonal 1"):
+            solve_lower(np.diag([1.0, 0.0, 1.0]), np.ones(3))
 
 
 class TestTriangular:

@@ -324,6 +324,41 @@ class TestSolverForensics:
             "batch.quarantined"
         }
 
+    @pytest.mark.parametrize(
+        "backend",
+        [[], ["--backend", "process", "--workers", "2"]],
+        ids=["serial", "process"],
+    )
+    def test_one_dump_per_failing_batch(self, tmp_path, backend):
+        """A terminal failure fires update.batch_failed then batch.quarantined;
+        the pair writes one dump holding both, and each failure its own."""
+        from repro.cli import main
+
+        problem, flights = tmp_path / "h2.npz", tmp_path / "flights"
+        assert main(["generate", "helix", "--length", "2", "--out", str(problem)]) == 0
+        assert main(
+            ["solve", str(problem), "--cycles", "2", "--faults", "chol=0.2,seed=3",
+             "--max-retries", "1", "--flight-dir", str(flights),
+             "--out", str(tmp_path / "est.npz"), *backend]
+        ) == 0
+        summary = json.loads((tmp_path / "est.summary.json").read_text())
+        failures = summary["robustness"]["quarantined_batches"]
+        assert failures >= 2
+        dumps = sorted(flights.glob("flight-*.jsonl"))
+        assert len(dumps) == min(5, failures)
+        concluded = []
+        for path in dumps:
+            rows = _read_rows(path)
+            assert validate_spans_jsonl(rows) == []
+            assert rows[0]["reason"] == "update.batch_failed"
+            names = [r["name"] for r in rows[1:] if r["type"] == "instant"]
+            failed = names.count("update.batch_failed")
+            assert failed == names.count("batch.quarantined") >= 1
+            concluded.append(failed)
+        assert concluded == sorted(concluded)
+        if not backend:  # serially each dump adds exactly its own failure
+            assert concluded == list(range(1, len(dumps) + 1))
+
     def test_recorder_does_not_change_results(self, two_group_problem):
         """Bit-identity: an active flight recorder must be observe-only."""
         coords, constraints, hierarchy, estimate = two_group_problem

@@ -32,7 +32,9 @@ from repro.constraints import (
 from repro.constraints.batch import assemble_batch, make_batches
 from repro.core.session import SolveSession
 from repro.core.update import UpdateOptions
+from repro.errors import ConstraintError
 from repro.linalg import get_workspace
+from repro.linalg.counters import OpCategory, recording
 
 RTOL = 1e-12
 ATOL = 1e-12
@@ -252,6 +254,87 @@ class TestBatchPlanStructure:
         assert big2.indices is indices1 and big2.indptr is indptr1
         z0, _, big0, _ = assemble_batch(batch, coords + 0.1)
         np.testing.assert_allclose(big2.data, big0.data, rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_interleaved_shapes_match_assemble_batch(self, rng, mapped):
+        """Every constraint shape, interleaved so that neither the (atom
+        count, row count) groups nor the type groups are contiguous in
+        batch order, and a scalar-fallback LinearConstraint among them."""
+        p = 12
+        coords = rng.normal(0, 2, (p, 3))
+        a = rng.normal(0, 1, (2, 6))
+        lin = LinearConstraint((8, 2), a, a @ coords[[8, 2]].ravel(), np.array([0.1, 0.2]))
+        cs = [
+            DistanceConstraint(3, 1, 2.0, 0.05),
+            AngleConstraint(0, 4, 7, 1.9, 0.05),
+            lin,
+            TorsionConstraint(9, 2, 5, 11, 0.3, 0.1),
+            PositionConstraint(6, coords[6], 0.02),
+            DistanceBoundConstraint(10, 0, 1.0, 10.0, 0.2),
+            DistanceConstraint(7, 2, 2.5, 0.05),
+            TorsionConstraint(1, 3, 8, 6, 0.4, 0.1),
+            AngleConstraint(11, 5, 9, 2.1, 0.05),
+            PositionConstraint(4, coords[4] + 0.1, 0.02),
+            LinearConstraint((5, 10), a, a @ coords[[5, 10]].ravel(), np.array([0.3, 0.1])),
+            DistanceBoundConstraint(2, 9, 1.0, 3.0, 0.2),
+            DistanceConstraint(0, 11, 4.0, 0.05),
+        ]
+        batch = make_batches(cs, 1000)[0]
+        if mapped:
+            # Two unused slots in front, atoms in reverse order.
+            atom_to_column = 2 + np.arange(p)[::-1]
+            n = 3 * (p + 2)
+            z0, h0, big0, r0 = assemble_batch(batch, coords, atom_to_column, n)
+        else:
+            atom_to_column, n = None, 3 * p
+            z0, h0, big0, r0 = assemble_batch(batch, coords)
+        plan = BatchPlan(batch, atom_to_column=atom_to_column, n_columns=n)
+        assert [g.ctype for g in plan.vector_groups] == [
+            DistanceConstraint,
+            AngleConstraint,
+            TorsionConstraint,
+            PositionConstraint,
+            DistanceBoundConstraint,
+        ]
+        assert [item.constraint for item in plan.scalar_items] == [cs[2], cs[10]]
+        z, h, big, r, support, h_s = plan.assemble(coords)
+        np.testing.assert_array_equal(big.indptr, big0.indptr)
+        np.testing.assert_array_equal(big.indices, big0.indices)
+        np.testing.assert_allclose(big.data, big0.data, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(h, h0, rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(z, z0, rtol=RTOL, atol=ATOL)
+        np.testing.assert_array_equal(r, r0)
+        np.testing.assert_array_equal(support, big0.column_support())
+        np.testing.assert_allclose(
+            h_s,
+            big0.restrict_columns(big0.column_support()).to_dense(),
+            rtol=RTOL,
+            atol=ATOL,
+        )
+
+    def test_out_of_map_error_names_the_first_constraint_in_batch_order(self, rng):
+        """The angle comes first in batch order although its shape group
+        comes after the distances'."""
+        cs = [
+            DistanceConstraint(0, 1, 1.5, 0.05),
+            AngleConstraint(0, 4, 1, 1.9, 0.05),
+            DistanceConstraint(5, 1, 1.5, 0.05),
+        ]
+        batch = make_batches(cs, 1000)[0]
+        atom_to_column = np.array([0, 1, 2, 3, -1, -1], dtype=np.int64)
+        with pytest.raises(ConstraintError, match=r"column map: \(0, 4, 1\)$"):
+            BatchPlan(batch, atom_to_column=atom_to_column, n_columns=12)
+
+    def test_plan_build_is_one_vec_event(self, rng):
+        coords, cs = _chain_constraints(rng, 8)
+        batch = make_batches(cs, len(cs))[0]
+        with recording() as rec:
+            plan = BatchPlan(batch, n_columns=3 * coords.shape[0])
+        (event,) = rec.events
+        assert event.category is OpCategory.VECTOR
+        assert event.flops == 4.0 * plan.nnz
+        assert event.bytes == 8.0 * (4 * plan.nnz + 2 * plan.m)
+        assert event.shape == (plan.m,) and event.parallel_rows == plan.m
 
     def test_structural_arrays_are_frozen(self, rng):
         coords, cs = _chain_constraints(rng, 6)
