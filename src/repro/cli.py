@@ -17,8 +17,7 @@ Usage::
     python -m repro solve helix8.npz --heartbeat hb.jsonl:0.5 \
         --flight-dir flights/
     python -m repro obs top hb.jsonl --once --slo cycle.seconds:2.0:0.95
-    python -m repro obs doctor trace.jsonl --problem helix8.npz
-    python -m repro obs critical-path trace.jsonl
+    python -m repro obs doctor trace.jsonl --problem helix8.npz --top 100
     python -m repro fuzz --seed 0 --budget 50 --backends thread
     python -m repro fuzz --seed 17 --budget 1 --minimize
 
@@ -30,7 +29,7 @@ reproducing seed (``--minimize`` shrinks the spec first);
 ``--trace``/``--metrics-out``/``--obs-summary`` export the
 :mod:`repro.obs` timeline and metrics (see docs/observability.md);
 ``simulate`` prices one recorded cycle of the saved problem on a modeled
-machine (Tables 3-6 style); the ``obs`` family analyzes recorded traces
+machine (Tables 3-6 style); ``obs doctor`` analyzes a recorded trace
 post-hoc (critical path, worker utilization, Equation-1 drift).
 
 The *live* telemetry plane rides along with any solve: ``--heartbeat
@@ -471,8 +470,11 @@ def _write_solve_summary(args, problem, solution, injector, residuals):
     return path
 
 
-def _load_trace_and_hierarchy(args):
+def _cmd_obs_doctor(args: argparse.Namespace) -> int:
+    import json
+
     from repro import obs
+    from repro.core.workmodel import analytic_work_model
     from repro.errors import TraceAnalysisError
 
     if not str(args.trace).endswith(".jsonl"):
@@ -489,16 +491,6 @@ def _load_trace_and_hierarchy(args):
         from repro import io as rio
 
         hierarchy = rio.load_problem(args.problem).hierarchy
-    return tracer, hierarchy, TraceAnalysisError
-
-
-def _cmd_obs_doctor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro import obs
-    from repro.core.workmodel import analytic_work_model
-
-    tracer, hierarchy, TraceAnalysisError = _load_trace_and_hierarchy(args)
     model = analytic_work_model(args.flop_rate) if args.flop_rate else None
     try:
         report = obs.doctor_report(tracer, hierarchy=hierarchy, model=model)
@@ -510,41 +502,6 @@ def _cmd_obs_doctor(args: argparse.Namespace) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"\nwrote report to {args.out}")
-    return 0
-
-
-def _cmd_obs_critical_path(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import analysis
-
-    tracer, hierarchy, TraceAnalysisError = _load_trace_and_hierarchy(args)
-    try:
-        passes = analysis.solve_passes(tracer)
-        edges = analysis.dag_edges(passes, hierarchy)
-    except TraceAnalysisError as exc:
-        raise SystemExit(f"cannot analyze {args.trace}: {exc}") from exc
-    doc = []
-    for p in passes:
-        cp = analysis.critical_path(p, edges)
-        doc.append({"label": p.label, "critical_path": cp})
-        print(
-            f"{p.label}: {cp['critical_path_seconds']:.4f}s critical path over "
-            f"{len(cp['chain'])} of {cp['n_nodes']} nodes "
-            f"(serial {cp['serial_seconds']:.4f}s, "
-            f"perfect speedup {cp['perfect_speedup']:.2f}x, "
-            f"achieved {cp['achieved_speedup']:.2f}x)"
-        )
-        for link in cp["chain"]:
-            print(
-                f"  node[{link['nid']}] {link['name']:<28} "
-                f"{link['seconds']:.4f}s ({link['share']:.1%})"
-            )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote report to {args.out}")
     return 0
 
 
@@ -1044,13 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     doctor.set_defaults(fn=_cmd_obs_doctor)
 
-    cpath = obs_sub.add_parser(
-        "critical-path", help="longest dependency chain through each solver pass"
-    )
-    cpath.add_argument("trace", help="spans log from 'solve --trace PATH.jsonl'")
-    cpath.add_argument("--problem", default=None)
-    cpath.add_argument("--out", default=None)
-    cpath.set_defaults(fn=_cmd_obs_critical_path)
     return parser
 
 

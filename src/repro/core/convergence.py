@@ -9,8 +9,8 @@ its diagnostics, which the §5 convergence/ordering ablation uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,40 +71,54 @@ class ConvergenceReport:
 
 
 def iterate_to_convergence(
-    run_cycle: Callable[[StructureEstimate], StructureEstimate],
+    run_cycle: Callable[[StructureEstimate, int, Sequence[float]], object],
     initial: StructureEstimate,
     max_cycles: int = 50,
     tol: float = 1e-6,
-    reset_covariance: bool = True,
-    raise_on_failure: bool = False,
     gauge_invariant: bool = False,
+    first_cycle: int = 1,
+    deltas: Sequence[float] = (),
 ) -> ConvergenceReport:
-    """Repeat ``run_cycle`` until the mean stops moving.
+    """Repeat ``run_cycle(start, cycle, deltas)`` until the mean stops moving.
 
-    ``reset_covariance=True`` (the paper's scheme) restores the *prior*
-    covariance before every cycle while carrying the mean forward: each
-    cycle is a fresh linearization of the full constraint set about the
+    Every cold solve runs this loop.  Each cycle starts from the previous
+    cycle's mean, copied, over the *prior* covariance (the paper's
+    scheme): a fresh linearization of the full constraint set about the
     latest structure, so the posterior covariance never collapses from
-    repeatedly counting the same data.
+    repeatedly counting the same data.  All cycles share one private copy
+    of ``initial.covariance``, made here once per solve, which is safe
+    because a cycle must not write its input (the solvers' ``run_cycle``
+    never does).  ``cycle`` is the 1-based cycle number and ``deltas``
+    the displacements of the cycles before it.  The callback returns the
+    solver's cycle result (a ``HierCycleResult`` or ``FlatCycleResult``):
+    its ``estimate``, and the ``quarantined`` and ``retries`` the loop
+    collects into the report's ledger, in cycle order.
 
     ``gauge_invariant=True`` measures each cycle's displacement after
     optimal rigid superposition onto the previous mean.  Distance-only
     data leaves the global rotation/translation free, so a structure can
     be perfectly converged in *shape* while its frame still drifts cycle
     to cycle; the raw metric would never see that as converged.
+
+    A resumed solve passes the interrupted cycle's number as
+    ``first_cycle``, the ``deltas`` of the cycles before it, and that
+    cycle's input as ``initial``; it finishes the interrupted cycle even
+    past ``max_cycles``.
     """
-    if max_cycles < 1:
+    if first_cycle == 1 and max_cycles < 1:
         raise ConvergenceError("max_cycles must be >= 1")
     prior_cov = initial.covariance.copy()
     current = initial
-    deltas: list[float] = []
-    for cycle in range(1, max_cycles + 1):
-        start = (
-            StructureEstimate(current.mean.copy(), prior_cov.copy())
-            if reset_covariance
-            else current
-        )
-        nxt = run_cycle(start)
+    deltas = list(deltas)
+    quarantine: list = []
+    retries: list = []
+    converged = False
+    for cycle in range(first_cycle, max(first_cycle, max_cycles) + 1):
+        start = StructureEstimate(current.mean.copy(), prior_cov)
+        result = run_cycle(start, cycle, tuple(deltas))
+        quarantine.extend(result.quarantined)
+        retries.extend(result.retries)
+        nxt = result.estimate
         if gauge_invariant:
             # Deferred import: molecules.superpose is a leaf module (numpy
             # only), but importing it via the package would be circular.
@@ -117,12 +131,11 @@ def iterate_to_convergence(
         deltas.append(delta)
         current = nxt
         if delta <= tol:
-            return ConvergenceReport(current, cycle, deltas, converged=True)
-    if raise_on_failure:
-        raise ConvergenceError(
-            f"no convergence in {max_cycles} cycles (last delta {deltas[-1]:.3g})"
-        )
-    return ConvergenceReport(current, max_cycles, deltas, converged=False)
+            converged = True
+            break
+    return ConvergenceReport(
+        current, len(deltas), deltas, converged, quarantine, retries
+    )
 
 
 def annealing_schedule(
@@ -143,27 +156,28 @@ def annealing_schedule(
     return max(floor, start * decay**cycle)
 
 
-def solve_with_annealing(
-    cycle_runner: Callable[[StructureEstimate, float], StructureEstimate],
-    initial: StructureEstimate,
+def solve_to_convergence(
+    solver,
+    estimate: StructureEstimate,
     max_cycles: int = 50,
     tol: float = 1e-6,
     gauge_invariant: bool = False,
     anneal: tuple[float, float] | None = None,
 ) -> ConvergenceReport:
-    """Iterate ``cycle_runner(estimate, noise_scale)`` to convergence.
+    """Iterate ``solver.run_cycle(start, options)`` to convergence.
 
-    ``anneal=(start, decay)`` selects the geometric schedule above;
-    ``None`` runs every cycle at scale 1 (plain iteration).
+    The one ``solve`` of :class:`~repro.core.hier_solver.HierarchicalSolver`
+    and :class:`~repro.core.flat.FlatSolver`.  ``anneal=(start, decay)``
+    inflates every measurement variance of cycle ``k`` (0-based) by
+    :func:`annealing_schedule`; ``None`` runs every cycle at the solver's
+    own options.
     """
-    counter = {"cycle": 0}
 
-    def run(est: StructureEstimate) -> StructureEstimate:
-        k = counter["cycle"]
-        counter["cycle"] += 1
-        scale = 1.0 if anneal is None else annealing_schedule(anneal[0], anneal[1], k)
-        return cycle_runner(est, scale)
+    def run(start: StructureEstimate, cycle: int, deltas):
+        options = solver.options
+        if anneal is not None:
+            scale = annealing_schedule(anneal[0], anneal[1], cycle - 1)
+            options = replace(options, noise_scale=options.noise_scale * scale)
+        return solver.run_cycle(start, options)
 
-    return iterate_to_convergence(
-        run, initial, max_cycles, tol, gauge_invariant=gauge_invariant
-    )
+    return iterate_to_convergence(run, estimate, max_cycles, tol, gauge_invariant)

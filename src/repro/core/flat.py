@@ -16,6 +16,7 @@ import numpy as np
 from repro import obs
 from repro.constraints.base import Constraint
 from repro.constraints.batch import make_batches
+from repro.core.convergence import ConvergenceReport, solve_to_convergence
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batches
 from repro.faults.report import QuarantineRecord, RetryReport
@@ -70,7 +71,8 @@ class FlatSolver:
         """One complete cycle over the constraint set (paper's measured unit).
 
         ``options`` overrides the solver's defaults for this cycle only
-        (used by the annealing schedule).
+        (used by the annealing schedule).  The cycle never writes
+        ``estimate``: its first batch copies before it downdates.
         """
         opts = options if options is not None else self.options
         outer = current_recorder()
@@ -107,36 +109,8 @@ class FlatSolver:
         tol: float = 1e-6,
         gauge_invariant: bool = False,
         anneal: tuple[float, float] | None = None,
-    ) -> "ConvergenceReport":
-        """Iterate cycles to convergence (delegates to :mod:`convergence`).
-
-        ``anneal=(start, decay)`` inflates all measurement variances by
-        ``max(1, start · decay^cycle)`` — see
-        :func:`repro.core.convergence.annealing_schedule`.
-        """
-        from dataclasses import replace
-
-        from repro.core.convergence import solve_with_annealing
-
-        quarantine: list[QuarantineRecord] = []
-        retries: list[RetryReport] = []
-
-        def runner(est: StructureEstimate, scale: float) -> StructureEstimate:
-            result = self.run_cycle(
-                est, replace(self.options, noise_scale=self.options.noise_scale * scale)
-            )
-            quarantine.extend(result.quarantined)
-            retries.extend(result.retries)
-            return result.estimate
-
-        report = solve_with_annealing(
-            runner,
-            estimate,
-            max_cycles,
-            tol,
-            gauge_invariant=gauge_invariant,
-            anneal=anneal,
+    ) -> ConvergenceReport:
+        """Iterate cycles to convergence (see :mod:`repro.core.convergence`)."""
+        return solve_to_convergence(
+            self, estimate, max_cycles, tol, gauge_invariant, anneal
         )
-        report.quarantine = quarantine
-        report.retries = retries
-        return report

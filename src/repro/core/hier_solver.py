@@ -10,23 +10,31 @@ Each node's kernel events are tagged with the node id, producing the
 per-node work profile the machine simulator and the processor-assignment
 heuristic consume.
 
+One node body, :func:`run_node`, serves every backend: the serial
+post-order loop calls it inline, and the tree-parallel scheduler's
+worker task (:mod:`repro.parallel.scheduler`) calls it in the worker.
+
 Robustness (see ``docs/robustness.md``): batches whose updates fail
 terminally (after the escalating-regularization retries inside
 :func:`repro.core.update.apply_batch`) are quarantined and reported
 instead of aborting the solve, and injected node crashes are absorbed by
-a bounded node-level restart, modeling a supervisor restarting a dead
-subtree worker.  Durable runs stream every completed node through a
-:class:`~repro.core.session.SolveSession` store (the ``cache`` of
-:meth:`HierarchicalSolver.run_cycle`).
+a bounded node-level restart (:data:`NODE_CRASH_ATTEMPTS`), modeling a
+supervisor restarting a dead subtree worker.  Durable runs stream every
+completed node through a :class:`~repro.core.session.SolveSession` store
+(the ``cache`` of :meth:`HierarchicalSolver.run_cycle`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from repro import obs
+from repro.constraints.base import Constraint
 from repro.constraints.batch import make_batches
+from repro.core.convergence import ConvergenceReport, solve_to_convergence
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batch, apply_batches
@@ -39,13 +47,18 @@ from repro.util.timer import Timer
 if TYPE_CHECKING:
     from repro.core.session import NodeCacheProtocol
 
+#: How many times the serial solver starts a node whose injected crash
+#: fault fires before the crash propagates (the process backend's
+#: counterpart is :attr:`repro.parallel.executors.Executor.max_resubmits`).
+NODE_CRASH_ATTEMPTS = 3
+
 
 @dataclass
 class NodeSolveRecord:
     """Work performed at one tree node during a cycle.
 
-    ``quarantined`` and ``retries`` carry a worker's records home; the
-    parallel solver builds its cycle's ledger from them.
+    ``quarantined`` and ``retries`` are the node's own robustness ledger;
+    a cycle's ledger is built from its records (:class:`HierCycleResult`).
     """
 
     nid: int
@@ -66,15 +79,26 @@ class NodeSolveRecord:
 
 @dataclass(frozen=True)
 class HierCycleResult:
-    """Outcome of one hierarchical cycle."""
+    """Outcome of one hierarchical cycle.
+
+    ``records`` are in post order (node ids are post-order indices), so
+    the cycle's ledger, ``quarantined`` and ``retries``, is in post order
+    whichever backend ran the nodes and in whatever order they finished.
+    """
 
     estimate: StructureEstimate
     seconds: float
     recorder: Recorder
     records: list[NodeSolveRecord]
     n_constraint_rows: int
-    quarantined: tuple[QuarantineRecord, ...] = ()
-    retries: tuple[RetryReport, ...] = ()
+
+    @property
+    def quarantined(self) -> tuple[QuarantineRecord, ...]:
+        return tuple(q for r in self.records for q in r.quarantined)
+
+    @property
+    def retries(self) -> tuple[RetryReport, ...]:
+        return tuple(t for r in self.records for t in r.retries)
 
     @property
     def seconds_per_constraint(self) -> float:
@@ -105,6 +129,88 @@ def cycle_output(
     return posterior.embedded_in(estimate, root.atoms)
 
 
+def node_attrs(node: HierarchyNode, batch_size: int) -> dict:
+    """The attributes of ``node``'s ``node[nid]`` span known before it runs.
+
+    :func:`run_node` adds ``rows``, ``n_constraints`` and ``n_batches``,
+    so every backend's node spans carry the same attribute set.
+    """
+    return {
+        "nid": node.nid,
+        "node_name": node.name,
+        "depth": node.depth,
+        "state_dim": node.state_dim,
+        "leaf": node.is_leaf,
+        "batch_size": batch_size,
+        "parent_nid": -1 if node.parent is None else node.parent.nid,
+    }
+
+
+def run_node(
+    attrs: dict,
+    prior: Callable[[], StructureEstimate],
+    constraints: Sequence[Constraint],
+    column_map: np.ndarray,
+    options: UpdateOptions,
+    rec: Recorder,
+    apply: Callable[..., StructureEstimate],
+) -> tuple[StructureEstimate, NodeSolveRecord]:
+    """Run one node: build its prior, apply its batches, record the work.
+
+    The one node body of every backend.  Inside the ``node[nid]`` span
+    (``attrs`` from :func:`node_attrs`) and with ``rec`` tagged by the
+    node id, the node timer covers the ``slow`` fault draw, the prior
+    built by ``prior()`` and the batch loop.  ``prior()`` must return an
+    estimate built for this node alone, because the first batch consumes
+    it.  ``apply`` is the per-batch update (see :func:`apply_batches`).
+
+    Returns the posterior and the node's record, which carries its
+    events and its own quarantine and retry lists.
+    """
+    nid = attrs["nid"]
+    quarantined: list[QuarantineRecord] = []
+    retries: list[RetryReport] = []
+    timer = Timer()
+    with obs.span(f"node[{nid}]", cat="solve", **attrs) as sp, rec.tagged(nid):
+        n_events = len(rec.events)
+        with timer:
+            injector = current_injector()
+            if injector is not None:
+                injector.maybe_sleep()
+            posterior = prior()
+            batches = make_batches(constraints, attrs["batch_size"])
+            posterior = apply_batches(
+                posterior,
+                batches,
+                column_map,
+                options,
+                nid,
+                quarantined,
+                retries,
+                apply=apply,
+                consume_estimate=True,
+            )
+        rows = sum(b.dimension for b in batches)
+        if sp is not None:
+            sp.attrs.update(
+                rows=rows, n_constraints=len(constraints), n_batches=len(batches)
+            )
+        events = rec.events[n_events:]
+    record = NodeSolveRecord(
+        nid=nid,
+        name=attrs["node_name"],
+        depth=attrs["depth"],
+        state_dim=attrs["state_dim"],
+        n_constraint_rows=rows,
+        n_batches=len(batches),
+        seconds=timer.elapsed,
+        events=events,
+        quarantined=tuple(quarantined),
+        retries=tuple(retries),
+    )
+    return posterior, record
+
+
 class HierarchicalSolver:
     """Post-order solver over a constraint-assigned :class:`Hierarchy`.
 
@@ -117,10 +223,6 @@ class HierarchicalSolver:
         Scalar rows per observation vector at every node.
     options:
         Per-batch update options.
-    node_crash_attempts:
-        How many times a node is (re)started when a crash fault surfaces
-        inside it before the crash propagates (models supervisor
-        restarts of dead subtree workers).
     """
 
     def __init__(
@@ -128,12 +230,10 @@ class HierarchicalSolver:
         hierarchy: Hierarchy,
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
-        node_crash_attempts: int = 3,
     ):
         self.hierarchy = hierarchy
         self.batch_size = int(batch_size)
         self.options = options
-        self.node_crash_attempts = max(1, int(node_crash_attempts))
         self.n_constraint_rows = sum(n.n_constraint_rows for n in hierarchy.nodes)
         self._cycle_index = 0
 
@@ -179,8 +279,6 @@ class HierarchicalSolver:
         rec = outer if outer is not None else Recorder()
         records: list[NodeSolveRecord] = []
         node_results: dict[int, StructureEstimate] = {}
-        quarantined: list[QuarantineRecord] = []
-        retries: list[RetryReport] = []
         total_timer = Timer()
         with obs.span(
             "cycle",
@@ -198,8 +296,7 @@ class HierarchicalSolver:
                     if dirty is not None and node.nid not in dirty:
                         continue
                     node_results[node.nid] = self._solve_node(
-                        node, estimate, node_results, rec, records, opts,
-                        quarantined, retries, cache=cache,
+                        node, estimate, node_results, rec, records, opts, cache
                     )
                     if cache is not None:
                         cache.store(node.nid, node_results[node.nid])
@@ -208,13 +305,7 @@ class HierarchicalSolver:
         final = cycle_output(self.hierarchy, estimate, node_results, cache)
         self._cycle_index += 1
         return HierCycleResult(
-            final,
-            total_timer.elapsed,
-            rec,
-            records,
-            self.n_constraint_rows,
-            quarantined=tuple(quarantined),
-            retries=tuple(retries),
+            final, total_timer.elapsed, rec, records, self.n_constraint_rows
         )
 
     def _solve_node(
@@ -225,126 +316,60 @@ class HierarchicalSolver:
         rec: Recorder,
         records: list[NodeSolveRecord],
         opts: UpdateOptions,
-        quarantined: list[QuarantineRecord],
-        retries: list[RetryReport],
         cache: "NodeCacheProtocol | None" = None,
     ) -> StructureEstimate:
-        timer = Timer()
-        # Summed over the node's constraints, which session edits change
-        # in place, so counted once per visit rather than cached.
-        rows = node.n_constraint_rows
-        with obs.span(
-            f"node[{node.nid}]",
-            cat="solve",
-            nid=node.nid,
-            node_name=node.name,
-            depth=node.depth,
-            state_dim=node.state_dim,
-            rows=rows,
-            leaf=node.is_leaf,
-            batch_size=self.batch_size,
-            parent_nid=-1 if node.parent is None else node.parent.nid,
-        ) as sp, rec.tagged(node.nid):
-            n_events_before = len(rec.events)
-            with timer:
-                if node.is_leaf:
-                    prior = global_estimate.extract_atoms(node.atoms)
-                else:
-                    # Children are mutually uncorrelated until this node's
-                    # boundary-spanning constraints connect them.  On a
-                    # dirty-restricted pass, clean children were skipped —
-                    # their converged posteriors come from the cache.
-                    parts = []
-                    for c in node.children:
-                        part = node_results.pop(c.nid, None)
-                        if part is None:
-                            part = cache.load(c.nid)
-                            obs.inc("session.cache_hits")
-                        parts.append(part)
-                    prior = StructureEstimate.block_diagonal(parts)
-                local, n_batches = self._compute_node(
-                    node, prior, opts, quarantined, retries
-                )
-            if sp is not None:
-                sp.attrs["n_batches"] = n_batches
-            events = rec.events[n_events_before:]
-        obs.inc("sched.nodes_completed")
-        obs.inc("sched.busy_seconds", timer.elapsed)
-        records.append(
-            NodeSolveRecord(
-                nid=node.nid,
-                name=node.name,
-                depth=node.depth,
-                state_dim=node.state_dim,
-                n_constraint_rows=rows,
-                n_batches=n_batches,
-                seconds=timer.elapsed,
-                events=list(events),
-            )
-        )
-        return local
+        """Run ``node`` through :func:`run_node` and record it.
 
-    def _compute_node(
-        self,
-        node: HierarchyNode,
-        prior: StructureEstimate,
-        opts: UpdateOptions,
-        quarantined: list[QuarantineRecord],
-        retries: list[RetryReport],
-    ) -> tuple[StructureEstimate, int]:
-        """Apply a node's batches to its prior, absorbing injected crashes.
-
-        A crash fault aborts the node's partial work and restarts the
-        whole node from ``prior`` (bounded attempts); partial updates are
-        never committed, so a restarted node is indistinguishable from a
-        first run.
+        An injected crash fault kills the node before it starts, as a
+        crashed worker loses its task; the node restarts, up to
+        :data:`NODE_CRASH_ATTEMPTS` starts, before the crash propagates.
+        Nothing has run yet, so a restarted node is indistinguishable
+        from a first run.
         """
         injector = current_injector()
-        crashes = 0
-        while True:
+        for attempt in range(1, NODE_CRASH_ATTEMPTS + 1):
             try:
                 if injector is not None:
-                    injector.maybe_sleep()
                     injector.maybe_crash(f"node {node.nid}")
-                return self._apply_node_batches(node, prior, opts, quarantined, retries)
+                break
             except WorkerCrashError:
-                crashes += 1
-                obs.instant(
-                    "node.restart", cat="fault", nid=node.nid, attempt=crashes
-                )
+                obs.instant("node.restart", cat="fault", nid=node.nid, attempt=attempt)
                 obs.inc("solve.node_restarts")
-                if crashes >= self.node_crash_attempts:
+                if attempt == NODE_CRASH_ATTEMPTS:
                     raise
 
-    def _apply_node_batches(
-        self,
-        node: HierarchyNode,
-        prior: StructureEstimate,
-        opts: UpdateOptions,
-        quarantined: list[QuarantineRecord],
-        retries: list[RetryReport],
-    ) -> tuple[StructureEstimate, int]:
-        if not node.constraints:
-            return prior, 0
-        batches = make_batches(node.constraints, self.batch_size)
-        # Looked up in this module on every call, so a wrapper installed at
-        # ``repro.core.hier_solver.apply_batch`` (perfbench's traced run)
-        # sees each batch.  ``prior`` was built for this node alone
-        # (extract_atoms or block_diagonal), so the first batch consumes
-        # it.  A node restarts only under an active fault injector, which
-        # disables every in-place downdate, so a restart reads it intact.
-        local = apply_batches(
+        def prior() -> StructureEstimate:
+            if node.is_leaf:
+                return global_estimate.extract_atoms(node.atoms)
+            # Children are mutually uncorrelated until this node's
+            # boundary-spanning constraints connect them.  On a
+            # dirty-restricted pass, clean children were skipped — their
+            # converged posteriors come from the cache.
+            parts = []
+            for c in node.children:
+                part = node_results.pop(c.nid, None)
+                if part is None:
+                    part = cache.load(c.nid)
+                    obs.inc("session.cache_hits")
+                parts.append(part)
+            return StructureEstimate.block_diagonal(parts)
+
+        # ``apply_batch`` is looked up in this module on every call, so a
+        # wrapper installed at ``repro.core.hier_solver.apply_batch``
+        # (perfbench's traced run) sees each batch.
+        posterior, record = run_node(
+            node_attrs(node, self.batch_size),
             prior,
-            batches,
+            node.constraints,
             node.column_map(self.hierarchy.n_atoms),
             opts,
-            node.nid,
-            quarantined,
-            retries,
-            apply=apply_batch,
-            consume_estimate=True,
+            rec,
+            apply_batch,
         )
-        return local, len(batches)
+        obs.inc("sched.nodes_completed")
+        obs.inc("sched.busy_seconds", record.seconds)
+        records.append(record)
+        return posterior
 
     def solve(
         self,
@@ -353,40 +378,8 @@ class HierarchicalSolver:
         tol: float = 1e-6,
         gauge_invariant: bool = False,
         anneal: tuple[float, float] | None = None,
-    ) -> "ConvergenceReport":
-        """Iterate cycles to convergence (delegates to :mod:`convergence`).
-
-        ``anneal=(start, decay)`` inflates all measurement variances by
-        ``max(1, start · decay^cycle)`` — see
-        :func:`repro.core.convergence.annealing_schedule`.
-
-        The returned report carries the robustness ledger of the whole
-        solve: every quarantined batch and every retry report from every
-        cycle.
-        """
-        from dataclasses import replace
-
-        from repro.core.convergence import solve_with_annealing
-
-        quarantine: list[QuarantineRecord] = []
-        retries: list[RetryReport] = []
-
-        def runner(est: StructureEstimate, scale: float) -> StructureEstimate:
-            result = self.run_cycle(
-                est, replace(self.options, noise_scale=self.options.noise_scale * scale)
-            )
-            quarantine.extend(result.quarantined)
-            retries.extend(result.retries)
-            return result.estimate
-
-        report = solve_with_annealing(
-            runner,
-            estimate,
-            max_cycles,
-            tol,
-            gauge_invariant=gauge_invariant,
-            anneal=anneal,
+    ) -> ConvergenceReport:
+        """Iterate cycles to convergence (see :mod:`repro.core.convergence`)."""
+        return solve_to_convergence(
+            self, estimate, max_cycles, tol, gauge_invariant, anneal
         )
-        report.quarantine = quarantine
-        report.retries = retries
-        return report

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 from bisect import insort
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,6 +64,7 @@ import numpy as np
 
 from repro import obs
 from repro.constraints.base import Constraint
+from repro.core.convergence import ConvergenceReport, iterate_to_convergence
 from repro.core.hier_solver import HierarchicalSolver, NodeSolveRecord
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
@@ -176,27 +176,16 @@ class SolveSession:
         :meth:`add_constraints`) used to address it in later deltas.
     executor:
         ``None`` runs the serial post-order solver; otherwise the
-        executor backs a :class:`~repro.parallel.scheduler.ParallelHierarchicalSolver`
-        (``shared_memory`` as there).  With a pickling backend the
-        session owns a shared-memory plane and keeps node posteriors
-        pinned on it across re-solves.
+        executor backs a :class:`~repro.parallel.scheduler.ParallelHierarchicalSolver`.
+        With a pickling backend the session owns a shared-memory plane
+        and keeps node posteriors pinned on it across re-solves.
     store:
         Optional :class:`~repro.faults.SessionStore` (or directory path)
         that makes the session durable: a killed cold solve or re-solve
         resumes from its last finished node.  A fresh session *clears*
         any prior contents of the directory; use :meth:`SolveSession.load`
         to resume one instead.
-    session_id / labels:
-        Metric identity.  ``session_id`` defaults to a process-unique
-        ``s<N>``; the session publishes labeled per-session series
-        (``session.solves{session=...}`` etc.) combining the id, the
-        backend and the kernel implementation with any extra ``labels``
-        (e.g. ``{"tenant": ...}``) — the per-tenant accounting hook the
-        solve-as-a-service layer builds on.
     """
-
-    #: Process-wide allocator behind the default ``s<N>`` session ids.
-    _session_ids = itertools.count()
 
     def __init__(
         self,
@@ -206,29 +195,13 @@ class SolveSession:
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
         executor: "Executor | None" = None,
-        shared_memory: bool | None = None,
         store: "SessionStore | str | Path | None" = None,
-        session_id: str | None = None,
-        labels: "dict | None" = None,
         _clear_store: bool = True,
     ):
         self.hierarchy = hierarchy
         self.batch_size = int(batch_size)
         self.options = options
         self.store = self._coerce_store(store)
-        # Per-session metric identity: every series the session (and the
-        # workers it dispatches) publishes carries these labels, which is
-        # what gives a multi-session process per-tenant accounting.
-        if session_id is None:
-            session_id = f"s{next(SolveSession._session_ids)}"
-        self.session_id = session_id
-        self.labels = {
-            "session": session_id,
-            "backend": type(executor).__name__ if executor is not None else "serial",
-            "kernel_impl": options.kernel_impl,
-        }
-        if labels:
-            self.labels.update(labels)
         if self.store is not None and _clear_store:
             self.store.clear()
         self._constraints: dict[int, Constraint] = {}
@@ -254,21 +227,10 @@ class SolveSession:
             from repro.parallel.scheduler import ParallelHierarchicalSolver
             from repro.parallel.shm import SharedEstimatePlane
 
-            use_shm = (
-                shared_memory
-                if shared_memory is not None
-                else executor.needs_pickling
-            )
-            if use_shm:
+            if executor.needs_pickling:
                 self._plane = SharedEstimatePlane()
             self.solver = ParallelHierarchicalSolver(
-                hierarchy,
-                batch_size,
-                options,
-                executor=executor,
-                shared_memory=shared_memory,
-                plane=self._plane,
-                labels=self.labels,
+                hierarchy, batch_size, options, executor=executor, plane=self._plane
             )
         self.cache = _SessionCache(self, plane=self._plane)
         # The solver's (reporting-only) row count starts at 0 here and is
@@ -464,25 +426,22 @@ class SolveSession:
         max_cycles: int = 50,
         tol: float = 1e-6,
         gauge_invariant: bool = False,
-    ):
+    ) -> ConvergenceReport:
         """Cold bootstrap: iterate full cycles to convergence.
 
-        Runs the paper's reset-covariance iteration at noise scale 1 (no
-        annealing — cached posteriors must come from a constant-scale
-        pass for warm re-solves to be exact).  On return the session
-        holds the final cycle's per-node posteriors plus that cycle's
-        input estimate, and every subsequent delta re-solves warm.
+        Runs the paper's reset-covariance iteration
+        (:func:`~repro.core.convergence.iterate_to_convergence`) at noise
+        scale 1 (no annealing — cached posteriors must come from a
+        constant-scale pass for warm re-solves to be exact).  On return
+        the session holds the final cycle's per-node posteriors plus that
+        cycle's input estimate, and every subsequent delta re-solves warm.
 
         On a session whose store recorded an unfinished solve (see
         :meth:`load`), the call continues that solve instead: it finishes
         the interrupted cycle's unfinished nodes, then runs the cycles
         left up to ``max_cycles``.  ``initial`` must be the estimate the
         interrupted solve started from.
-
-        Returns a :class:`~repro.core.convergence.ConvergenceReport`.
         """
-        from repro.core.convergence import ConvergenceReport
-
         if initial.n_atoms != self.hierarchy.n_atoms:
             raise HierarchyError(
                 f"estimate covers {initial.n_atoms} atoms, hierarchy expects "
@@ -491,12 +450,7 @@ class SolveSession:
         resumed = self._progress if self.store is not None else None
         if resumed is None:
             origin = _fingerprint(initial) if self.store is not None else None
-            # The session's one copy of the caller's covariance, so it never
-            # aliases an array the caller owns.
-            prior_cov = initial.covariance.copy()
-            current = initial
-            deltas: list[float] = []
-            first = 1
+            first, deltas = 1, ()
         else:
             origin = resumed["initial"]
             if _fingerprint(initial) != origin:
@@ -505,53 +459,34 @@ class SolveSession:
                 )
             # The interrupted cycle's input holds the prior covariance and,
             # as its mean, the output of the cycle before it.
-            current = self._cycle_input
-            prior_cov = current.covariance
-            deltas = list(resumed["deltas"])
-            first = resumed["cycle"]
+            initial = self._cycle_input
+            first, deltas = resumed["cycle"], resumed["deltas"]
         all_nids = [n.nid for n in self.hierarchy.nodes]
-        quarantine: list = []
-        retries: list = []
-        converged = False
+
+        def run_cycle(start: StructureEstimate, cycle: int, deltas):
+            progress = {"cycle": cycle, "deltas": list(deltas), "initial": origin}
+            self._bump_generation()
+            if resumed is not None and cycle == first:
+                # Finish the interrupted cycle: a dirty pass over its
+                # unfinished nodes equals the full pass (warm ≡ cold).
+                dirty = frozenset(self._dirty)
+                self._stage(dirty, progress=progress)
+            else:
+                dirty = None
+                self._stage(all_nids, start=start, progress=progress)
+            return self.solver.run_cycle(start, dirty=dirty, cache=self.cache)
+
         with obs.span(
             "session.solve",
             cat="session",
             nodes=len(self.hierarchy.nodes),
             constraints=len(self._constraints),
         ):
-            for cycle in range(first, max(first, max_cycles) + 1):
-                progress = {"cycle": cycle, "deltas": list(deltas), "initial": origin}
-                self._bump_generation()
-                if resumed is not None and cycle == first:
-                    # Finish the interrupted cycle: a dirty pass over its
-                    # unfinished nodes equals the full pass (warm ≡ cold).
-                    start = self._cycle_input
-                    dirty = frozenset(self._dirty)
-                    self._stage(dirty, progress=progress)
-                else:
-                    # The solver never writes its input, so every cycle shares
-                    # the session's one copy of the prior covariance.
-                    start = StructureEstimate(current.mean.copy(), prior_cov)
-                    dirty = None
-                    self._stage(all_nids, start=start, progress=progress)
-                result = self.solver.run_cycle(start, dirty=dirty, cache=self.cache)
-                quarantine.extend(result.quarantined)
-                retries.extend(result.retries)
-                nxt = result.estimate
-                if gauge_invariant:
-                    from repro.molecules.superpose import superposed_rmsd
-
-                    delta = superposed_rmsd(nxt.coords, current.coords)
-                else:
-                    diff = nxt.mean - current.mean
-                    delta = float(np.sqrt(diff @ diff / max(1, nxt.n_atoms)))
-                deltas.append(delta)
-                current = nxt
-                if delta <= tol:
-                    converged = True
-                    break
+            report = iterate_to_convergence(
+                run_cycle, initial, max_cycles, tol, gauge_invariant, first, deltas
+            )
         self._progress = None
-        self._last_estimate = current
+        self._last_estimate = report.estimate
         if self.store is not None:
             # The last cycle streamed every node; record that no solve is
             # unfinished.
@@ -559,10 +494,6 @@ class SolveSession:
                 self._manifest(None, None, self._input_generation)
             )
         obs.inc("session.solves")
-        obs.inc("session.solves", labels=self.labels)
-        report = ConvergenceReport(current, len(deltas), deltas, converged=converged)
-        report.quarantine = quarantine
-        report.retries = retries
         return report
 
     def resolve(self, scope: str = "dirty") -> SessionResolveResult:
@@ -611,7 +542,6 @@ class SolveSession:
             )
         self._last_estimate = result.estimate
         obs.inc("session.resolves")
-        obs.inc("session.resolves", labels=self.labels)
         obs.inc("session.dirty_nodes", len(dirty))
         obs.inc("session.clean_nodes", len(self.hierarchy.nodes) - len(dirty))
         obs.observe_latency("resolve.seconds", timer.elapsed)
@@ -693,9 +623,6 @@ class SolveSession:
         store: "SessionStore | str | Path",
         *,
         executor: "Executor | None" = None,
-        shared_memory: bool | None = None,
-        session_id: str | None = None,
-        labels: "dict | None" = None,
     ) -> "SolveSession":
         """Rebuild a session from a :class:`SessionStore` directory.
 
@@ -739,10 +666,7 @@ class SolveSession:
             batch_size=manifest["batch_size"],
             options=options,
             executor=executor,
-            shared_memory=shared_memory,
             store=store,
-            session_id=session_id,
-            labels=labels,
             _clear_store=False,
         )
         for cid, owner, enc in manifest["constraints"]:

@@ -196,6 +196,19 @@ class FaultInjector:
             for ch in CHANNELS
         }
 
+    def since(self, summary: dict[str, dict[str, int]]) -> dict[str, dict[str, int]]:
+        """The counts drawn since ``summary`` (an earlier :meth:`summary`)."""
+        return {
+            ch: {k: n - summary[ch][k] for k, n in counts.items()}
+            for ch, counts in self.summary().items()
+        }
+
+    def add(self, counts: dict[str, dict[str, int]]) -> None:
+        """Count another injector's draws (:meth:`since` in a process worker)."""
+        for ch, c in counts.items():
+            self.draws[ch] += c["draws"]
+            self.injected[ch] += c["injected"]
+
 
 # ----------------------------------------------------------- active context
 _ACTIVE: FaultInjector | None = None

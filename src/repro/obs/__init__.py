@@ -68,11 +68,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     current_metrics,
     inc,
-    labeled_name,
     metrics_scope,
     observe,
     observe_latency,
-    parse_metric_key,
     quantile_from_snapshot,
     set_gauge,
 )
@@ -135,12 +133,10 @@ __all__ = [
     "format_obs_summary",
     "inc",
     "instant",
-    "labeled_name",
     "metrics_scope",
     "observe",
     "observe_latency",
     "parse_heartbeat_spec",
-    "parse_metric_key",
     "quantile_from_snapshot",
     "read_heartbeats",
     "read_spans_jsonl",

@@ -25,8 +25,8 @@ three pieces:
 
 :func:`render_top` turns a heartbeat file into the ``repro obs top``
 terminal view: fleet busy%, inflight tasks, resubmit and rebuild
-counters, plan-cache hit rate, per-cycle/per-resolve p50/p99, per-session series
-and the SLO verdict.
+counters, plan-cache hit rate, per-cycle/per-resolve p50/p99 and the SLO
+verdict.
 
 Flight records are timed on the tracer clock, and a dump's ``meta`` row
 carries the epoch that maps it to wall time.  Heartbeat rows carry wall
@@ -49,7 +49,6 @@ from repro.obs.export import read_jsonl_rows, write_spans_jsonl
 from repro.obs.metrics import (
     MetricsRegistry,
     bucket_value,
-    parse_metric_key,
     quantile_from_snapshot,
 )
 from repro.obs.tracer import _RECORDER, Instant, Span, Tracer
@@ -556,29 +555,6 @@ def render_top(
             f"SLO {slo.metric} <= {slo.target_seconds:g}s @{slo.objective:.0%}: "
             f"{tracker.verdict()} (burn {rate_str}, {tracker.good} good / {tracker.bad} bad)"
         )
-
-    # ---- per-session labeled series
-    sessions: dict[str, dict[str, float]] = {}
-    for key, value in last.get("metrics", {}).get("counters", {}).items():
-        name, labels = parse_metric_key(key)
-        if not labels or not name.startswith("session."):
-            continue
-        ident = labels.get("session") or ",".join(
-            f"{k}={v}" for k, v in sorted(labels.items())
-        )
-        extra = ",".join(
-            f"{k}={v}" for k, v in sorted(labels.items()) if k != "session"
-        )
-        label = f"{ident}{{{extra}}}" if extra else ident
-        sessions.setdefault(label, {})[name.removeprefix("session.")] = value
-    if sessions:
-        parts = []
-        for label in sorted(sessions):
-            stats = " ".join(
-                f"{k}={v:g}" for k, v in sorted(sessions[label].items())
-            )
-            parts.append(f"{label} {stats}")
-        lines.append("sessions: " + " | ".join(parts))
 
     # ---- live-plane self-cost
     tracer_cost = _gauge(last, "obs.overhead_seconds")

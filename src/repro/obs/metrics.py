@@ -40,17 +40,6 @@ Metric name conventions (dot-separated, lowercase):
 ``obs.recorder_overhead_seconds``  gauge — flight-recorder self-cost
 =================================  =============================================
 
-Labels
-------
-Every metric accessor takes an optional ``labels={...}`` mapping (session
-id, tenant, backend, kernel_impl...).  Labels are encoded into the metric
-key — ``session.resolves{session=s0,tenant=acme}`` — so a labeled series
-is just another registry entry: :meth:`MetricsRegistry.snapshot` and
-:meth:`MetricsRegistry.merge_snapshot` carry it across process
-boundaries unchanged, which is what lets :class:`~repro.core.session.SolveSession`
-and the executors publish per-session series that survive worker pool
-rebuilds.  :func:`parse_metric_key` recovers ``(name, labels)``.
-
 Histograms
 ----------
 :class:`Histogram` is a fixed log-bucket streaming summary: O(1) memory
@@ -128,27 +117,6 @@ def quantile_from_snapshot(h: Mapping, q: float) -> float:
     vmax = float(h.get("max", vmin))
     counts = {int(k): int(v) for k, v in h["buckets"].items()}
     return _quantile_from_buckets(counts, count, vmin, vmax, q)
-
-
-# ------------------------------------------------------------- label keys
-def labeled_name(name: str, labels: Mapping[str, object] | None = None) -> str:
-    """Encode ``labels`` into the registry key: ``name{k=v,k2=v2}``."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
-
-
-def parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
-    """Inverse of :func:`labeled_name`: ``(base name, labels dict)``."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key[:-1].partition("{")
-    labels: dict[str, str] = {}
-    for part in filter(None, inner.split(",")):
-        k, _, v = part.partition("=")
-        labels[k] = v
-    return name, labels
 
 
 class Counter:
@@ -235,28 +203,21 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
 
     # --------------------------------------------------------- get-or-create
-    def counter(
-        self, name: str, labels: Mapping[str, object] | None = None
-    ) -> Counter:
-        name = labeled_name(name, labels)
+    def counter(self, name: str) -> Counter:
         with self._lock:
             metric = self._counters.get(name)
             if metric is None:
                 metric = self._counters[name] = Counter()
             return metric
 
-    def gauge(self, name: str, labels: Mapping[str, object] | None = None) -> Gauge:
-        name = labeled_name(name, labels)
+    def gauge(self, name: str) -> Gauge:
         with self._lock:
             metric = self._gauges.get(name)
             if metric is None:
                 metric = self._gauges[name] = Gauge()
             return metric
 
-    def histogram(
-        self, name: str, labels: Mapping[str, object] | None = None
-    ) -> Histogram:
-        name = labeled_name(name, labels)
+    def histogram(self, name: str) -> Histogram:
         with self._lock:
             metric = self._histograms.get(name)
             if metric is None:
@@ -299,8 +260,7 @@ class MetricsRegistry:
         """Fold a worker registry's :meth:`snapshot` into this registry.
 
         Counters and histograms accumulate; gauges take the incoming
-        value (last write wins, matching local semantics).  Labeled keys
-        pass through verbatim, so per-session series merge losslessly.
+        value (last write wins, matching local semantics).
         """
         if not snap:
             return
@@ -343,36 +303,28 @@ def metrics_scope(registry: MetricsRegistry | None = None) -> Iterator[MetricsRe
 
 
 # ------------------------------------------------------------ no-op helpers
-def inc(
-    name: str, n: float = 1.0, labels: Mapping[str, object] | None = None
-) -> None:
+def inc(name: str, n: float = 1.0) -> None:
     """Increment a counter on the active registry, if any."""
     reg = _REGISTRY.get()
     if reg is not None:
-        reg.counter(name, labels).inc(n)
+        reg.counter(name).inc(n)
 
 
-def set_gauge(
-    name: str, v: float, labels: Mapping[str, object] | None = None
-) -> None:
+def set_gauge(name: str, v: float) -> None:
     """Set a gauge on the active registry, if any."""
     reg = _REGISTRY.get()
     if reg is not None:
-        reg.gauge(name, labels).set(v)
+        reg.gauge(name).set(v)
 
 
-def observe(
-    name: str, v: float, labels: Mapping[str, object] | None = None
-) -> None:
+def observe(name: str, v: float) -> None:
     """Observe a histogram sample on the active registry, if any."""
     reg = _REGISTRY.get()
     if reg is not None:
-        reg.histogram(name, labels).observe(v)
+        reg.histogram(name).observe(v)
 
 
-def observe_latency(
-    name: str, seconds: float, labels: Mapping[str, object] | None = None
-) -> None:
+def observe_latency(name: str, seconds: float) -> None:
     """Observe a latency sample and refresh its rolling p50/p99 gauges.
 
     Powers the live plane's per-cycle / per-resolve latency views: one
@@ -382,7 +334,7 @@ def observe_latency(
     reg = _REGISTRY.get()
     if reg is None:
         return
-    h = reg.histogram(name, labels)
+    h = reg.histogram(name)
     h.observe(float(seconds))
-    reg.gauge(f"{name}.p50", labels).set(h.quantile(0.5))
-    reg.gauge(f"{name}.p99", labels).set(h.quantile(0.99))
+    reg.gauge(f"{name}.p50").set(h.quantile(0.5))
+    reg.gauge(f"{name}.p99").set(h.quantile(0.99))

@@ -12,11 +12,12 @@ Node tasks are self-contained payloads (the node's sources, constraints,
 column map), so they cross process boundaries: a leaf's task carries its
 extracted prior, a parent's its children's posteriors, and the worker
 builds the node's prior itself with the serial solver's
-:meth:`~repro.core.state.StructureEstimate.block_diagonal`.  Each worker
-records its own kernel events — and, when the dispatching solve is being
-traced or flight-recorded, its own spans, metrics and flight ring — and
-ships them back; the dispatcher merges each under the ``cycle`` span as
-it takes the result.  Worker spans keep the worker's pid/tid, which is
+:meth:`~repro.core.state.StructureEstimate.block_diagonal`, then runs
+the serial solver's node body, :func:`repro.core.hier_solver.run_node`.
+Each worker records its own kernel events — and, when the dispatching
+solve is being traced or flight-recorded, its own spans, metrics and
+flight ring — and ships them back; the dispatcher merges each under the
+``cycle`` span as it takes the result.  Worker spans keep the worker's pid/tid, which is
 what gives the exported Chrome trace one lane per worker.  With a
 pickling backend the estimate arrays themselves do not ride in the task
 at all: every node writes its posterior into its segment on a
@@ -36,11 +37,16 @@ import numpy as np
 
 from repro import obs
 from repro.constraints.base import Constraint
-from repro.constraints.batch import make_batches
-from repro.core.hier_solver import HierCycleResult, NodeSolveRecord, cycle_output
+from repro.core.hier_solver import (
+    HierCycleResult,
+    NodeSolveRecord,
+    cycle_output,
+    node_attrs,
+    run_node,
+)
 from repro.core.hierarchy import Hierarchy, HierarchyNode
 from repro.core.state import StructureEstimate
-from repro.core.update import UpdateOptions, apply_batches
+from repro.core.update import UpdateOptions, apply_batch
 from repro.errors import HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
 from repro.faults.report import QuarantineRecord, RetryReport
@@ -60,36 +66,33 @@ from repro.util.timer import Timer
 class _NodeTask:
     """Picklable description of one node's update.
 
-    The node's sources are a leaf's ``prior`` (its block of the cycle
-    input) or an inner node's ``children`` posteriors, in child order.
-    With the shared-memory plane, ``handle`` names the segment the worker
-    writes the posterior to; a leaf's prior then sits in that segment's
-    prior slot (``prior`` is ``None``) and the children are handles to
-    their segments, so the task ships O(1) bytes of estimate.
+    ``attrs`` are the node's span attributes
+    (:func:`~repro.core.hier_solver.node_attrs`, which include its batch
+    size).  The node's sources are a leaf's ``prior`` (its block of the
+    cycle input) or an inner node's ``children`` posteriors, in child
+    order.  With the shared-memory plane, ``handle`` names the segment
+    the worker writes the posterior to; a leaf's prior then sits in that
+    segment's prior slot (``prior`` is ``None``) and the children are
+    handles to their segments, so the task ships O(1) bytes of estimate.
     ``trace``/``collect_metrics`` tell the worker to run under a local
     collecting tracer/registry and ship the records back (contextvars do
     not cross executor boundaries, so observability is opt-in per task).
     """
 
     nid: int
-    state_dim: int
+    attrs: dict
     constraints: list[Constraint]
     column_map: np.ndarray
-    batch_size: int
     options: UpdateOptions
     prior: StructureEstimate | None = None
     children: tuple[StructureEstimate | EstimateHandle, ...] = ()
     handle: EstimateHandle | None = None
     trace: bool = False
     collect_metrics: bool = False
-    parent_nid: int = -1
     #: Mirror the dispatching side's flight recorder: the worker runs a
     #: local ring and ships it home in the obs payload (the parent's
     #: ``merge`` re-fires any forensic triggers the worker saw).
     flight: bool = False
-    #: Label set (session id, backend...) stamped onto the worker's
-    #: per-task metric series, so per-session counters survive the trip.
-    labels: dict | None = None
 
 
 def _node_prior(task: _NodeTask) -> StructureEstimate:
@@ -121,26 +124,28 @@ def _run_node_task(
     float,
     int,
     dict | None,
-    list[QuarantineRecord],
-    list[RetryReport],
+    tuple[QuarantineRecord, ...],
+    tuple[RetryReport, ...],
+    int,
+    dict | None,
 ]:
-    """Worker entry point: build the node's prior, apply its batches.
+    """Worker entry point: run the node body on the task's sources.
 
     Returns ``(nid, posterior-or-None, events, seconds, n_batches,
-    obs_payload, quarantined, retries)``; the posterior slot is ``None``
-    when the task carried a shared-memory handle (the posterior went back
-    through the segment).  ``seconds`` covers the prior's assembly and
-    the batches.  The last two carry the node's
+    obs_payload, quarantined, retries, rows, faults)``; the posterior
+    slot is ``None`` when the task carried a shared-memory handle (the
+    posterior went back through the segment).  ``seconds`` is the node
+    body's timer.  ``quarantined`` and ``retries`` carry the node's
     :class:`~repro.faults.QuarantineRecord` and
-    :class:`~repro.faults.RetryReport` lists home.
+    :class:`~repro.faults.RetryReport` lists home; ``faults`` the
+    per-channel draws and injections the worker's fault injector made
+    while the task ran (``None`` without one), which the dispatcher
+    counts only for a pickling executor, whose workers draw on their own
+    copy of the injector.
     """
     rec = Recorder()
-    timer = Timer()
     injector = current_injector()
-    if injector is not None:
-        # Straggler simulation; crash faults are the executor's concern
-        # (it draws one decision per submitted task and resubmits).
-        injector.maybe_sleep()
+    before = None if injector is None else injector.summary()
     tracer = obs.Tracer() if task.trace else None
     registry = obs.MetricsRegistry() if task.collect_metrics else None
     recorder = obs.FlightRecorder() if task.flight else None
@@ -151,43 +156,19 @@ def _run_node_task(
     flight_scope = (
         obs.flight_recording(recorder) if recorder is not None else nullcontext()
     )
-    # Pack once, then reuse each batch's cached dimension for the span's
-    # row attribute instead of re-summing over the raw constraint list.
-    batches = (
-        make_batches(task.constraints, task.batch_size) if task.constraints else []
-    )
-    n_batches = len(batches)
-    quarantined: list[QuarantineRecord] = []
-    retries: list[RetryReport] = []
-    with trace_scope, metrics_scope, flight_scope:
-        with obs.span(
-            f"node[{task.nid}]",
-            cat="solve",
-            nid=task.nid,
-            n_constraints=len(task.constraints),
-            batch_size=task.batch_size,
-            state_dim=task.state_dim,
-            rows=sum(b.dimension for b in batches),
-            parent_nid=task.parent_nid,
-        ), recording(rec), rec.tagged(task.nid), timer:
-            estimate = apply_batches(
-                _node_prior(task),
-                batches,
-                task.column_map,
-                task.options,
-                task.nid,
-                quarantined,
-                retries,
-                consume_estimate=True,
-            )
+    with trace_scope, metrics_scope, flight_scope, recording(rec):
+        estimate, record = run_node(
+            task.attrs,
+            lambda: _node_prior(task),
+            task.constraints,
+            task.column_map,
+            task.options,
+            rec,
+            apply_batch,
+        )
     if registry is not None:
-        registry.histogram("node.seconds").observe(timer.elapsed)
+        registry.histogram("node.seconds").observe(record.seconds)
         registry.counter("sched.tasks_completed").inc()
-        if task.labels:
-            registry.counter("sched.tasks_completed", labels=task.labels).inc()
-            registry.histogram("node.seconds", labels=task.labels).observe(
-                timer.elapsed
-            )
     payload: dict | None = None
     if tracer is not None or registry is not None or recorder is not None:
         payload = {
@@ -199,8 +180,9 @@ def _run_node_task(
         write_posterior(task.handle, estimate)
         estimate = None
     return (
-        task.nid, estimate, rec.events, timer.elapsed, n_batches, payload,
-        quarantined, retries,
+        task.nid, estimate, record.events, record.seconds, record.n_batches,
+        payload, record.quarantined, record.retries, record.n_constraint_rows,
+        None if injector is None else injector.since(before),
     )
 
 
@@ -211,18 +193,16 @@ class ParallelHierarchicalSolver:
 
     executor:
         Backend (defaults to inline execution so the class is always
-        safe to construct).
-    shared_memory:
-        ``None`` (default) enables the shared-memory estimate plane
+        safe to construct).  The shared-memory estimate plane is on
         exactly when the backend pickles its tasks
-        (:attr:`~repro.parallel.executors.Executor.needs_pickling`);
-        ``True``/``False`` force it.
+        (:attr:`~repro.parallel.executors.Executor.needs_pickling`).
     plane:
-        Optional borrowed :class:`SharedEstimatePlane`.  The scheduler
-        then keeps that plane alive across cycles (releasing only its
-        own transient segments) instead of closing a private plane after
-        every cycle — this is how a :class:`~repro.core.session.SolveSession`
-        keeps clean-subtree posterior segments pinned across re-solves.
+        Optional borrowed :class:`SharedEstimatePlane`, used with a
+        pickling backend.  The scheduler then keeps that plane alive
+        across cycles (releasing only its own transient segments) instead
+        of closing a private plane after every cycle — this is how a
+        :class:`~repro.core.session.SolveSession` keeps clean-subtree
+        posterior segments pinned across re-solves.
         The borrower owns the plane's lifetime.
     """
 
@@ -232,25 +212,14 @@ class ParallelHierarchicalSolver:
         batch_size: int = 16,
         options: UpdateOptions = UpdateOptions(),
         executor: Executor | None = None,
-        shared_memory: bool | None = None,
         plane: SharedEstimatePlane | None = None,
-        labels: dict | None = None,
     ):
         self.hierarchy = hierarchy
         self.batch_size = int(batch_size)
         self.options = options
         self.executor = executor if executor is not None else SerialExecutor()
-        self.shared_memory = shared_memory
         self.plane = plane
-        #: Metric labels (session id, backend...) stamped onto per-task
-        #: series published by the workers this solver dispatches.
-        self.labels = dict(labels) if labels else None
         self.n_constraint_rows = sum(n.n_constraint_rows for n in hierarchy.nodes)
-
-    def _use_shared_memory(self) -> bool:
-        if self.shared_memory is not None:
-            return self.shared_memory
-        return self.executor.needs_pickling
 
     # ----------------------------------------------------------- solve
     def run_cycle(
@@ -290,11 +259,9 @@ class ParallelHierarchicalSolver:
         # so nothing is double-counted).
         outer = current_recorder()
         merged = outer if outer is not None else Recorder()
-        if self.plane is not None and self._use_shared_memory():
-            plane, owns_plane = self.plane, False
-        else:
-            plane = SharedEstimatePlane() if self._use_shared_memory() else None
-            owns_plane = True
+        plane = None
+        if self.executor.needs_pickling:
+            plane = self.plane if self.plane is not None else SharedEstimatePlane()
         try:
             with obs.span(
                 "cycle",
@@ -314,31 +281,18 @@ class ParallelHierarchicalSolver:
                     cycle_id,
                 )
         finally:
-            if plane is not None:
-                if owns_plane:
-                    plane.close()
-                else:
-                    plane.close_transient()
+            if plane is not None and plane is self.plane:
+                plane.close_transient()
+            elif plane is not None:
+                plane.close()
         obs.inc("solve.cycles")
         obs.observe_latency("cycle.seconds", total.elapsed)
-        if self.labels:
-            obs.inc("solve.cycles", labels=self.labels)
         final = cycle_output(self.hierarchy, estimate, node_results, cache)
+        # Node ids are post-order indices: the serial solver's record order,
+        # so the cycle's ledger does not depend on which node finished first.
         records.sort(key=lambda r: r.nid)
-        # The robustness ledger in the serial solver's post order, so it
-        # does not depend on which node finished first.
-        by_nid = {r.nid: r for r in records}
-        ordered = [
-            by_nid[n.nid] for n in self.hierarchy.post_order() if n.nid in by_nid
-        ]
         return HierCycleResult(
-            final,
-            total.elapsed,
-            merged,
-            records,
-            self.n_constraint_rows,
-            quarantined=tuple(q for r in ordered for q in r.quarantined),
-            retries=tuple(t for r in ordered for t in r.retries),
+            final, total.elapsed, merged, records, self.n_constraint_rows
         )
 
     # ------------------------------------------------- dependency-driven
@@ -501,9 +455,10 @@ class ParallelHierarchicalSolver:
         worker's spans and flight ring join the active tracer and
         recorder under the ``cycle`` span ``cycle_id``.
         """
-        nid, posterior, events, seconds, n_batches, payload, quarantined, retries = (
-            result
-        )
+        (
+            nid, posterior, events, seconds, n_batches, payload, quarantined,
+            retries, rows, faults,
+        ) = result
         handle = task.handle
         pinned = handle is not None and getattr(cache, "plane", None) is plane
         if handle is not None:
@@ -521,6 +476,11 @@ class ParallelHierarchicalSolver:
         merged.events.extend(events)
         obs.inc("sched.nodes_completed")
         obs.inc("sched.busy_seconds", float(seconds))
+        injector = current_injector()
+        if faults is not None and injector is not None and self.executor.needs_pickling:
+            # A pickling worker drew on its own copy of the injector; thread
+            # and serial workers drew on this one, whose counts have them.
+            injector.add(faults)
         if payload is not None:
             for sink, part in (
                 (obs.current_tracer(), payload["trace"]),
@@ -533,16 +493,8 @@ class ParallelHierarchicalSolver:
                 registry.merge_snapshot(payload["metrics"])
         records.append(
             NodeSolveRecord(
-                nid=nid,
-                name=node.name,
-                depth=node.depth,
-                state_dim=node.state_dim,
-                n_constraint_rows=node.n_constraint_rows,
-                n_batches=n_batches,
-                seconds=seconds,
-                events=list(events),
-                quarantined=tuple(quarantined),
-                retries=tuple(retries),
+                nid, node.name, node.depth, node.state_dim, rows, n_batches,
+                seconds, events, quarantined, retries,
             )
         )
 
@@ -570,19 +522,16 @@ class ParallelHierarchicalSolver:
             )
         return _NodeTask(
             nid=node.nid,
-            state_dim=node.state_dim,
+            attrs=node_attrs(node, self.batch_size),
             constraints=node.constraints,
             column_map=node.column_map(self.hierarchy.n_atoms),
-            batch_size=self.batch_size,
             options=self.options,
             prior=prior,
             children=children,
             handle=handle,
             trace=obs.current_tracer() is not None,
             collect_metrics=obs.current_metrics() is not None,
-            parent_nid=-1 if node.parent is None else node.parent.nid,
             flight=obs.current_flight_recorder() is not None,
-            labels=self.labels,
         )
 
     @staticmethod

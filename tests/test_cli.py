@@ -479,4 +479,4 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["obs", "--help"])
         assert exc.value.code == 0
-        assert "{top,doctor,critical-path}" in capsys.readouterr().out
+        assert "{top,doctor}" in capsys.readouterr().out

@@ -10,6 +10,7 @@ import pytest
 
 from repro.constraints import DistanceConstraint, PositionConstraint
 from repro.constraints.batch import ConstraintBatch
+from repro.core import hier_solver
 from repro.core.hier_solver import HierarchicalSolver
 from repro.core.session import SolveSession
 from repro.core.state import StructureEstimate
@@ -196,6 +197,25 @@ class TestQuarantine:
         assert parallel.retries == serial.retries
         assert np.array_equal(parallel.estimate.mean, serial.estimate.mean)
 
+    def test_serial_node_records_carry_the_process_ledger(self, helix2_problem):
+        """Each node's record carries its own ledger, node by node the
+        same on the serial solver and the process backend."""
+        est = helix2_problem.initial_estimate(0)
+        opts = UpdateOptions(max_retries=1)
+        with fault_injection(FaultInjector(FaultConfig(corrupt_p=1.0, seed=0))):
+            serial = HierarchicalSolver(
+                helix2_problem.hierarchy, 16, options=opts
+            ).run_cycle(est)
+            with ProcessExecutor(2) as ex:
+                process = ParallelHierarchicalSolver(
+                    helix2_problem.hierarchy, 16, options=opts, executor=ex
+                ).run_cycle(est)
+        assert [r.nid for r in serial.records] == [r.nid for r in process.records]
+        for ours, theirs in zip(serial.records, process.records):
+            assert ours.quarantined == theirs.quarantined
+            assert ours.retries == theirs.retries
+        assert all(r.quarantined for r in serial.records if r.n_batches)
+
     def test_clean_solve_reports_no_quarantine(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)
         report = HierarchicalSolver(helix2_problem.hierarchy, 16).solve(
@@ -230,16 +250,16 @@ class TestCheckpointResume:
     def _kill_after(session, n_nodes):
         """Make the session die when it reaches its ``n_nodes``-th node."""
         solver = session.solver
-        original = solver._compute_node
+        original = solver._solve_node
         seen = {"n": 0}
 
-        def bombed(node, prior, opts, quarantined, retries):
+        def bombed(node, *args, **kwargs):
             if seen["n"] == n_nodes:
                 raise WorkerCrashError("simulated kill")
             seen["n"] += 1
-            return original(node, prior, opts, quarantined, retries)
+            return original(node, *args, **kwargs)
 
-        solver._compute_node = bombed
+        solver._solve_node = bombed
 
     @staticmethod
     def _killed(problem, directory, cycles, kill_after) -> SolveSession:
@@ -305,15 +325,44 @@ class TestCheckpointResume:
         assert not SessionStore(tmp_path).has_manifest()
 
 
+class TestInjectedFaultCounts:
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_injected_count_matches_the_ledger(self, helix2_problem, backend):
+        """Every injected Cholesky failure is counted once, on the injector
+        the caller holds, whichever process drew it."""
+        est = helix2_problem.initial_estimate(0)
+        opts = UpdateOptions(max_retries=1)
+        inj = FaultInjector(FaultConfig(chol_p=0.2, seed=3))
+        with fault_injection(inj):
+            if backend == "serial":
+                res = HierarchicalSolver(
+                    helix2_problem.hierarchy, 16, options=opts
+                ).run_cycle(est)
+            else:
+                make = {"thread": ThreadExecutor, "process": ProcessExecutor}[backend]
+                with make(2) as ex:
+                    res = ParallelHierarchicalSolver(
+                        helix2_problem.hierarchy, 16, options=opts, executor=ex
+                    ).run_cycle(est)
+        failed = sum(
+            1
+            for report in res.retries
+            for attempt in report.attempts
+            if attempt.message == "injected Cholesky factorization failure"
+        )
+        assert failed > 0
+        assert inj.injected["chol"] == failed
+        assert inj.draws["chol"] > failed
+
+
 class TestCrashAbsorption:
-    def test_injected_node_crashes_are_restarted(self, helix2_problem):
+    def test_injected_node_crashes_are_restarted(self, helix2_problem, monkeypatch):
         est = helix2_problem.initial_estimate(0)
         clean = HierarchicalSolver(helix2_problem.hierarchy, 16).run_cycle(est)
         inj = FaultInjector(FaultConfig(crash_p=0.3, seed=11))
+        monkeypatch.setattr(hier_solver, "NODE_CRASH_ATTEMPTS", 10)
         with fault_injection(inj):
-            res = HierarchicalSolver(
-                helix2_problem.hierarchy, 16, node_crash_attempts=10
-            ).run_cycle(est)
+            res = HierarchicalSolver(helix2_problem.hierarchy, 16).run_cycle(est)
         assert inj.injected["crash"] > 0  # faults actually fired...
         # ...and node restarts erased them: results identical to clean.
         # The covariance too, so a restart from a consumed prior would fail.

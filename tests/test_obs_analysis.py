@@ -498,23 +498,23 @@ class TestObsCLI:
 
     def test_doctor(self, trace_file, tmp_path, capsys):
         out = tmp_path / "doctor.json"
-        rc = main(["obs", "doctor", trace_file, "--out", str(out)])
+        rc = main(["obs", "doctor", trace_file, "--out", str(out), "--top", "100"])
         assert rc == 0
         text = capsys.readouterr().out
         assert "critical path" in text
         report = json.loads(out.read_text())
         assert report["passes"] and report["dag"]["edges"]
-
-    def test_critical_path(self, trace_file, capsys):
-        assert main(["obs", "critical-path", trace_file]) == 0
-        assert "critical path over" in capsys.readouterr().out
+        # A --top past the chain's length prints every link of every pass.
+        for p in report["passes"]:
+            for link in p["critical_path"]["chain"]:
+                assert f"  node[{link['nid']}] {link['name']}" in text
+        assert " more" not in text
 
     def test_doctor_rejects_chrome_trace(self, synthetic_tracer, tmp_path):
         path = tmp_path / "t.json"
         obs.write_chrome_trace(synthetic_tracer, path)
-        for cmd in ("doctor", "critical-path"):
-            with pytest.raises(SystemExit, match=r"solve --trace PATH\.jsonl"):
-                main(["obs", cmd, str(path)])
+        with pytest.raises(SystemExit, match=r"solve --trace PATH\.jsonl"):
+            main(["obs", "doctor", str(path)])
 
     def test_doctor_rejects_empty_trace(self, tmp_path):
         tracer = Tracer()

@@ -29,8 +29,6 @@ from repro.obs.metrics import (
     Histogram,
     bucket_index,
     bucket_value,
-    labeled_name,
-    parse_metric_key,
     quantile_from_snapshot,
 )
 from repro.obs.validate import validate_spans_jsonl
@@ -106,27 +104,8 @@ class TestStreamingHistogram:
         )
 
 
-# ----------------------------------------------------------- labeled metrics
+# ----------------------------------------------------------- latency gauges
 class TestLabeledMetrics:
-    def test_key_encoding_round_trip(self):
-        key = labeled_name("session.solves", {"session": "s1", "backend": "thread"})
-        assert key == "session.solves{backend=thread,session=s1}"
-        name, labels = parse_metric_key(key)
-        assert name == "session.solves"
-        assert labels == {"backend": "thread", "session": "s1"}
-        assert parse_metric_key("plain.counter") == ("plain.counter", {})
-
-    def test_labeled_series_survive_snapshot_merge(self):
-        src = obs.MetricsRegistry()
-        src.counter("session.solves", labels={"session": "a"}).inc()
-        src.counter("session.solves", labels={"session": "b"}).inc(2)
-        src.histogram("node.seconds", labels={"session": "a"}).observe(0.5)
-        dst = obs.MetricsRegistry()
-        dst.merge_snapshot(src.snapshot())
-        assert dst.counter("session.solves", labels={"session": "a"}).value == 1
-        assert dst.counter("session.solves", labels={"session": "b"}).value == 2
-        assert dst.histogram("node.seconds", labels={"session": "a"}).count == 1
-
     def test_observe_latency_publishes_quantile_gauges(self):
         registry = obs.MetricsRegistry()
         with obs.metrics_scope(registry):
@@ -496,7 +475,6 @@ class TestRenderTop:
                     "sched.busy_seconds": 1.2,
                     "plan.cache_hits": 9.0,
                     "plan.cache_builds": 1.0,
-                    "session.solves{backend=thread,session=s1}": 2.0,
                 },
                 gauges={"sched.workers": 2.0, "sched.inflight": 1.0},
                 histograms={"cycle.seconds": h1},
@@ -510,7 +488,6 @@ class TestRenderTop:
         assert "plan-cache 90.0% hit" in out
         assert "cycle" in out and "p50" in out
         assert "SLO cycle.seconds <= 2s" in out
-        assert "s1{backend=thread} solves=2" in out
 
     def test_empty_rows(self):
         assert obs.render_top({}, []) == "no heartbeats yet"

@@ -276,6 +276,79 @@ class TestSolversNeverWriteTheirInput:
             _assert_estimates_equal(session._cycle_input, warm)
 
 
+class TestOneConvergenceLoop:
+    """Every cold solve runs one loop: a session's ``solve`` on any backend
+    gives the solver's ``solve`` bits, deltas, cycle count and ledger."""
+
+    @pytest.mark.parametrize("gauge_invariant", [False, True])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_session_solve_matches_solver_solve(
+        self, helix2_problem, backend, gauge_invariant
+    ):
+        est = helix2_problem.initial_estimate(0)
+        baseline = HierarchicalSolver(helix2_problem.hierarchy, 16).solve(
+            est, max_cycles=3, tol=1e-3, gauge_invariant=gauge_invariant
+        )
+        with BACKENDS[backend]() as executor, SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints, executor=executor
+        ) as session:
+            report = session.solve(
+                est, max_cycles=3, tol=1e-3, gauge_invariant=gauge_invariant
+            )
+        _assert_reports_equal(report, baseline)
+        assert report.converged == baseline.converged
+
+    @pytest.mark.parametrize("caller", ["solver", "session"])
+    def test_cycles_share_one_private_prior_covariance(self, helix2_problem, caller):
+        est = helix2_problem.initial_estimate(0)
+        original = est.copy()
+        with SolveSession(
+            helix2_problem.hierarchy, helix2_problem.constraints
+        ) as session:
+            solver = (
+                session.solver
+                if caller == "session"
+                else HierarchicalSolver(helix2_problem.hierarchy, 16)
+            )
+            starts = []
+            inner = solver.run_cycle
+
+            def tap(start, *args, **kwargs):
+                starts.append(start)
+                return inner(start, *args, **kwargs)
+
+            solver.run_cycle = tap
+            (session if caller == "session" else solver).solve(
+                est, max_cycles=3, tol=0.0
+            )
+        assert len(starts) == 3
+        assert all(s.covariance is starts[0].covariance for s in starts)
+        assert not np.shares_memory(starts[0].covariance, est.covariance)
+        _assert_estimates_equal(est, original)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_faulted_solves_agree_with_their_ledgers(self, helix2_problem, backend):
+        # Thread and process fault draws follow dispatch order (ROADMAP
+        # item 12), so only a certain fault gives them a fixed schedule.
+        spec = "corrupt=0.1,seed=5" if backend == "serial" else "corrupt=1.0,seed=0"
+        est = helix2_problem.initial_estimate(0)
+        opts = UpdateOptions(max_retries=1)
+        with fault_injection(FaultInjector(FaultConfig.parse(spec))):
+            baseline = HierarchicalSolver(
+                helix2_problem.hierarchy, 16, options=opts
+            ).solve(est, max_cycles=3, tol=0.0)
+        with fault_injection(FaultInjector(FaultConfig.parse(spec))), \
+                BACKENDS[backend]() as executor, SolveSession(
+                    helix2_problem.hierarchy, helix2_problem.constraints,
+                    options=opts, executor=executor,
+                ) as session:
+            report = session.solve(est, max_cycles=3, tol=0.0)
+        assert baseline.quarantine
+        _assert_reports_equal(report, baseline)
+        assert report.quarantine == baseline.quarantine
+        assert report.retries == baseline.retries
+
+
 class TestSharedMemoryPinning:
     def test_clean_segments_survive_resolves(self, helix2_problem):
         est = helix2_problem.initial_estimate(0)

@@ -191,20 +191,18 @@ class TestWireSize:
         est = _estimate(rng, 86)  # n=258: covariance alone is 532 KB
         dense = _NodeTask(
             nid=0,
-            state_dim=est.dim,
+            attrs={"nid": 0, "state_dim": est.dim, "batch_size": 16},
             constraints=[],
             column_map=np.arange(86),
-            batch_size=16,
             options=UpdateOptions(),
             prior=est,
         )
         with SharedEstimatePlane() as plane:
             slim = _NodeTask(
                 nid=0,
-                state_dim=est.dim,
+                attrs={"nid": 0, "state_dim": est.dim, "batch_size": 16},
                 constraints=[],
                 column_map=np.arange(86),
-                batch_size=16,
                 options=UpdateOptions(),
                 handle=_put(plane, est),
             )
@@ -220,10 +218,9 @@ class TestWireSize:
             children = tuple(plane.claim(nid, 3 * n_atoms) for nid in (1, 2))
             parent = _NodeTask(
                 nid=0,
-                state_dim=6 * n_atoms,
+                attrs={"nid": 0, "state_dim": 6 * n_atoms, "batch_size": 16},
                 constraints=[],
                 column_map=np.arange(86),
-                batch_size=16,
                 options=UpdateOptions(),
                 children=children,
                 handle=plane.claim(0, 6 * n_atoms),
@@ -231,33 +228,32 @@ class TestWireSize:
             assert len(pickle.dumps(parent)) < 4096
 
     def test_plane_active_for_process_backend_by_default(self, assigned):
-        hierarchy, _ = assigned
-        with ProcessExecutor(2) as ex:
-            solver = ParallelHierarchicalSolver(
-                hierarchy, batch_size=8, executor=ex
-            )
-            assert solver._use_shared_memory()
-        assert not ParallelHierarchicalSolver(
-            hierarchy, executor=SerialExecutor()
-        )._use_shared_memory()
+        hierarchy, estimate = assigned
+
+        def segments_created(executor) -> float:
+            registry = obs.MetricsRegistry()
+            with executor, obs.metrics_scope(registry):
+                ParallelHierarchicalSolver(
+                    hierarchy, batch_size=8, executor=executor
+                ).run_cycle(estimate)
+            return registry.snapshot()["counters"].get("shm.segments_created", 0)
+
+        assert segments_created(ProcessExecutor(2)) > 0
+        assert segments_created(SerialExecutor()) == 0
 
     def test_segment_metrics_balance(self, assigned):
         """Every created segment is released by cycle end (obs counters)."""
         hierarchy, estimate = assigned
         registry = obs.MetricsRegistry()
-        solver = ParallelHierarchicalSolver(
-            hierarchy,
-            batch_size=8,
-            executor=SerialExecutor(),
-            shared_memory=True,  # force the plane even inline
-        )
-        with obs.metrics_scope(registry):
-            result = solver.run_cycle(estimate)
+        with ProcessExecutor(2) as ex, obs.metrics_scope(registry):
+            result = ParallelHierarchicalSolver(
+                hierarchy, batch_size=8, executor=ex
+            ).run_cycle(estimate)
         counters = registry.snapshot()["counters"]
         assert counters["shm.segments_created"] == 3  # two leaves + root
         assert counters["shm.segments_created"] == counters["shm.segments_released"]
         assert counters["shm.bytes_allocated"] > 0
-        # and the forced plane changes nothing numerically
+        # and the plane changes nothing numerically
         plain = HierarchicalSolver(hierarchy, batch_size=8).run_cycle(estimate)
         assert np.array_equal(result.estimate.mean, plain.estimate.mean)
         assert np.array_equal(result.estimate.covariance, plain.estimate.covariance)
