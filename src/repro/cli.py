@@ -299,6 +299,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.errors import WorkerCrashError
     from repro.faults import FaultConfig, FaultInjector, fault_injection
 
+    if args.cycles < 1:
+        raise SystemExit(f"--cycles must be at least 1, got {args.cycles}")
     problem = rio.load_problem(args.problem)
     # Durable and parallel solves run on a SolveSession, whose cached
     # posteriors need a hierarchy and a constant noise scale.

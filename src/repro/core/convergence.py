@@ -76,8 +76,7 @@ def iterate_to_convergence(
     max_cycles: int = 50,
     tol: float = 1e-6,
     gauge_invariant: bool = False,
-    first_cycle: int = 1,
-    deltas: Sequence[float] = (),
+    deltas: Sequence[float] | None = None,
 ) -> ConvergenceReport:
     """Repeat ``run_cycle(start, cycle, deltas)`` until the mean stops moving.
 
@@ -85,14 +84,15 @@ def iterate_to_convergence(
     cycle's mean, copied, over the *prior* covariance (the paper's
     scheme): a fresh linearization of the full constraint set about the
     latest structure, so the posterior covariance never collapses from
-    repeatedly counting the same data.  All cycles share one private copy
-    of ``initial.covariance``, made here once per solve, which is safe
-    because a cycle must not write its input (the solvers' ``run_cycle``
-    never does).  ``cycle`` is the 1-based cycle number and ``deltas``
-    the displacements of the cycles before it.  The callback returns the
-    solver's cycle result (a ``HierCycleResult`` or ``FlatCycleResult``):
-    its ``estimate``, and the ``quarantined`` and ``retries`` the loop
-    collects into the report's ledger, in cycle order.
+    repeatedly counting the same data.  All cycles of a fresh solve share
+    one private copy of ``initial.covariance``, made here once, which is
+    safe because a cycle must not write its input (the solvers'
+    ``run_cycle`` never does).  ``cycle`` is the 1-based cycle number
+    and ``deltas`` the displacements of the cycles before it.  The
+    callback returns the solver's cycle result (a ``HierCycleResult`` or
+    ``FlatCycleResult``): its ``estimate``, and the ``quarantined`` and
+    ``retries`` the loop collects into the report's ledger, in cycle
+    order.
 
     ``gauge_invariant=True`` measures each cycle's displacement after
     optimal rigid superposition onto the previous mean.  Distance-only
@@ -100,20 +100,26 @@ def iterate_to_convergence(
     be perfectly converged in *shape* while its frame still drifts cycle
     to cycle; the raw metric would never see that as converged.
 
-    A resumed solve passes the interrupted cycle's number as
-    ``first_cycle``, the ``deltas`` of the cycles before it, and that
-    cycle's input as ``initial``; it finishes the interrupted cycle even
-    past ``max_cycles``.
+    A resumed solve passes the ``deltas`` of the cycles finished before
+    the interruption (empty if none was) and, as ``initial``, the
+    interrupted cycle's input, which the caller saved privately: its
+    covariance is shared as is, not copied.  The loop finishes that
+    cycle, number ``len(deltas) + 1``, even past ``max_cycles``.
     """
-    if first_cycle == 1 and max_cycles < 1:
-        raise ConvergenceError("max_cycles must be >= 1")
-    prior_cov = initial.covariance.copy()
+    if deltas is None:
+        if max_cycles < 1:
+            raise ConvergenceError("max_cycles must be >= 1")
+        prior_cov = initial.covariance.copy()
+        deltas = []
+    else:
+        prior_cov = initial.covariance
+        deltas = list(deltas)
+    first = len(deltas) + 1
     current = initial
-    deltas = list(deltas)
     quarantine: list = []
     retries: list = []
     converged = False
-    for cycle in range(first_cycle, max(first_cycle, max_cycles) + 1):
+    for cycle in range(first, max(first, max_cycles) + 1):
         start = StructureEstimate(current.mean.copy(), prior_cov)
         result = run_cycle(start, cycle, tuple(deltas))
         quarantine.extend(result.quarantined)

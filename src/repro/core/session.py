@@ -450,7 +450,7 @@ class SolveSession:
         resumed = self._progress if self.store is not None else None
         if resumed is None:
             origin = _fingerprint(initial) if self.store is not None else None
-            first, deltas = 1, ()
+            done = None
         else:
             origin = resumed["initial"]
             if _fingerprint(initial) != origin:
@@ -460,13 +460,13 @@ class SolveSession:
             # The interrupted cycle's input holds the prior covariance and,
             # as its mean, the output of the cycle before it.
             initial = self._cycle_input
-            first, deltas = resumed["cycle"], resumed["deltas"]
+            done = resumed["deltas"]
         all_nids = [n.nid for n in self.hierarchy.nodes]
 
         def run_cycle(start: StructureEstimate, cycle: int, deltas):
             progress = {"cycle": cycle, "deltas": list(deltas), "initial": origin}
             self._bump_generation()
-            if resumed is not None and cycle == first:
+            if resumed is not None and cycle == resumed["cycle"]:
                 # Finish the interrupted cycle: a dirty pass over its
                 # unfinished nodes equals the full pass (warm ≡ cold).
                 dirty = frozenset(self._dirty)
@@ -483,7 +483,7 @@ class SolveSession:
             constraints=len(self._constraints),
         ):
             report = iterate_to_convergence(
-                run_cycle, initial, max_cycles, tol, gauge_invariant, first, deltas
+                run_cycle, initial, max_cycles, tol, gauge_invariant, done
             )
         self._progress = None
         self._last_estimate = report.estimate

@@ -49,8 +49,7 @@ from repro.core.state import StructureEstimate
 from repro.core.update import UpdateOptions, apply_batch
 from repro.errors import HierarchyError, WorkerCrashError
 from repro.faults.injector import current_injector
-from repro.faults.report import QuarantineRecord, RetryReport
-from repro.linalg.counters import KernelEvent, Recorder, current_recorder, recording
+from repro.linalg.counters import Recorder, current_recorder, recording
 from repro.parallel.executors import Executor, SerialExecutor
 from repro.parallel.shm import (
     EstimateHandle,
@@ -118,30 +117,21 @@ def _node_prior(task: _NodeTask) -> StructureEstimate:
 def _run_node_task(
     task: _NodeTask,
 ) -> tuple[
-    int,
-    StructureEstimate | None,
-    list[KernelEvent],
-    float,
-    int,
-    dict | None,
-    tuple[QuarantineRecord, ...],
-    tuple[RetryReport, ...],
-    int,
-    dict | None,
+    int, StructureEstimate | None, dict | None, float, NodeSolveRecord, dict | None
 ]:
     """Worker entry point: run the node body on the task's sources.
 
-    Returns ``(nid, posterior-or-None, events, seconds, n_batches,
-    obs_payload, quarantined, retries, rows, faults)``; the posterior
-    slot is ``None`` when the task carried a shared-memory handle (the
-    posterior went back through the segment).  ``seconds`` is the node
-    body's timer.  ``quarantined`` and ``retries`` carry the node's
-    :class:`~repro.faults.QuarantineRecord` and
-    :class:`~repro.faults.RetryReport` lists home; ``faults`` the
-    per-channel draws and injections the worker's fault injector made
-    while the task ran (``None`` without one), which the dispatcher
-    counts only for a pickling executor, whose workers draw on their own
-    copy of the injector.
+    Returns ``(nid, posterior-or-None, obs_payload, seconds, record,
+    faults)``; the posterior slot is ``None`` when the task carried a
+    shared-memory handle (the posterior went back through the segment).
+    ``record`` is the node body's :class:`NodeSolveRecord`, which carries
+    the node's events and its own quarantine and retry lists home;
+    ``seconds`` repeats its node timer at index 3, where perfbench's
+    layer profile reads it.  ``faults`` holds the per-channel draws and
+    injections the worker's fault injector made while the task ran
+    (``None`` without one), which the dispatcher counts only for a
+    pickling executor, whose workers draw on their own copy of the
+    injector.
     """
     rec = Recorder()
     injector = current_injector()
@@ -179,11 +169,8 @@ def _run_node_task(
     if task.handle is not None:
         write_posterior(task.handle, estimate)
         estimate = None
-    return (
-        task.nid, estimate, record.events, record.seconds, record.n_batches,
-        payload, record.quarantined, record.retries, record.n_constraint_rows,
-        None if injector is None else injector.since(before),
-    )
+    faults = None if injector is None else injector.since(before)
+    return task.nid, estimate, payload, record.seconds, record, faults
 
 
 class ParallelHierarchicalSolver:
@@ -455,10 +442,7 @@ class ParallelHierarchicalSolver:
         worker's spans and flight ring join the active tracer and
         recorder under the ``cycle`` span ``cycle_id``.
         """
-        (
-            nid, posterior, events, seconds, n_batches, payload, quarantined,
-            retries, rows, faults,
-        ) = result
+        nid, posterior, payload, _, record, faults = result
         handle = task.handle
         pinned = handle is not None and getattr(cache, "plane", None) is plane
         if handle is not None:
@@ -471,11 +455,10 @@ class ParallelHierarchicalSolver:
             cache.note_promoted(nid)
         elif cache is not None:
             cache.store(nid, posterior)
-        node = self.hierarchy.node(nid)
         node_results[nid] = posterior if posterior is not None else handle
-        merged.events.extend(events)
+        merged.events.extend(record.events)
         obs.inc("sched.nodes_completed")
-        obs.inc("sched.busy_seconds", float(seconds))
+        obs.inc("sched.busy_seconds", float(record.seconds))
         injector = current_injector()
         if faults is not None and injector is not None and self.executor.needs_pickling:
             # A pickling worker drew on its own copy of the injector; thread
@@ -491,12 +474,7 @@ class ParallelHierarchicalSolver:
             registry = obs.current_metrics()
             if registry is not None:
                 registry.merge_snapshot(payload["metrics"])
-        records.append(
-            NodeSolveRecord(
-                nid, node.name, node.depth, node.state_dim, rows, n_batches,
-                seconds, events, quarantined, retries,
-            )
-        )
+        records.append(record)
 
     def _make_task(
         self,

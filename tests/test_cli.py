@@ -101,6 +101,16 @@ class TestSolve:
         with pytest.raises(SystemExit, match="batch-anneal"):
             main(["solve", str(helix_file), "--batch-anneal", "0.2,0.5"])
 
+    @pytest.mark.parametrize("path", ["serial", "thread", "session"])
+    def test_cycles_below_one_refused(self, helix_file, tmp_path, path):
+        extra = {
+            "serial": [],
+            "thread": ["--backend", "thread"],
+            "session": ["--session-dir", str(tmp_path / "sess")],
+        }[path]
+        with pytest.raises(SystemExit, match="--cycles"):
+            main(["solve", str(helix_file), "--cycles", "0", *extra])
+
     def test_process_backend_without_session_dir_uses_workers(
         self, helix_file, tmp_path
     ):

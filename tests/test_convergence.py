@@ -129,11 +129,40 @@ class TestIterateToConvergence:
             return outcome(e.copy())
 
         report = iterate_to_convergence(
-            cycle, make_estimate(), max_cycles=2, tol=-1.0, first_cycle=3, deltas=[0.5, 0.25]
+            cycle, make_estimate(), max_cycles=2, tol=-1.0, deltas=[0.5, 0.25]
         )
         assert seen == [3]
         assert report.cycles == 3
         assert report.deltas == [0.5, 0.25, 0.0]
+
+    def test_solve_resumed_in_its_first_cycle_finishes_it(self):
+        """No cycle finished before the interruption: ``deltas=[]``, not a
+        fresh solve, so ``max_cycles=0`` still finishes cycle 1."""
+        seen = []
+
+        def cycle(e, k, deltas):
+            seen.append((k, deltas))
+            return outcome(e.copy())
+
+        report = iterate_to_convergence(cycle, make_estimate(), max_cycles=0, deltas=[])
+        assert seen == [(1, ())]
+        assert report.cycles == 1
+
+    def test_resumed_loop_shares_the_saved_covariance(self):
+        """A resumed solve's ``initial`` is the caller's private saved
+        input: every cycle starts over its covariance, not a copy."""
+        saved = StructureEstimate.from_coords(np.zeros((2, 3)), sigma=2.0)
+        starts = []
+
+        def cycle(e, k, deltas):
+            starts.append(e)
+            new = e.copy()
+            new.mean[:] = e.mean + 0.5**k
+            return outcome(new)
+
+        iterate_to_convergence(cycle, saved, max_cycles=4, tol=0.0, deltas=[0.5])
+        assert len(starts) == 3
+        assert all(s.covariance is saved.covariance for s in starts)
 
     def test_cycles_to_threshold(self):
         report = ConvergenceReport(make_estimate(), 3, deltas=[1.0, 0.1, 0.01])

@@ -669,6 +669,30 @@ class TestColdResume:
             assert resumed.unfinished_cycle is None
         _assert_reports_equal(report, baseline)
 
+    def test_resumed_solve_shares_its_saved_covariance(self, tmp_path, monkeypatch):
+        """The stored cycle input is the session's own: every resumed cycle
+        starts over its covariance, with no second copy."""
+        problem = build_helix(2)
+        kill = StoreKill(monkeypatch, kill_at=(2 + len(problem.hierarchy.nodes)) + 3)
+        with pytest.raises(RuntimeError, match="simulated kill"):
+            SolveSession(problem.hierarchy, problem.constraints, store=tmp_path).solve(
+                problem.initial_estimate(0), max_cycles=3, tol=0.0
+            )
+        kill.kill_at = None
+        resumed = SolveSession.load(tmp_path)
+        saved = resumed._cycle_input.covariance
+        starts = []
+        inner = resumed.solver.run_cycle
+
+        def tap(start, *args, **kwargs):
+            starts.append(start)
+            return inner(start, *args, **kwargs)
+
+        resumed.solver.run_cycle = tap
+        resumed.solve(problem.initial_estimate(0), max_cycles=3, tol=0.0)
+        assert len(starts) == 2
+        assert all(s.covariance is saved for s in starts)
+
     def test_kill_at_every_store_write_resumes_bitwise(self, tmp_path, monkeypatch):
         baseline = _uninterrupted(1, 2)
         count = StoreKill(monkeypatch)
