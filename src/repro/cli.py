@@ -225,6 +225,9 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                 session.remove_constraints(args.drop)
                 print(f"dropped {len(args.drop)} constraints")
             result = session.resolve(scope=args.scope)
+            # Written before the report, as in ``solve``.
+            if args.out:
+                rio.save_estimate(args.out, result.estimate)
             total = len(session.hierarchy.nodes)
             print(
                 f"re-solved {result.n_dirty}/{total} nodes "
@@ -232,7 +235,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                 f"subtrees reused) in {result.seconds:.3f}s"
             )
             if args.out:
-                rio.save_estimate(args.out, result.estimate)
                 print(f"wrote estimate to {args.out}")
     finally:
         if executor is not None:
@@ -381,6 +383,27 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if executor is not None:
             executor.close()
     report = solution.report
+    coords = solution.coords
+    residuals = [float(np.abs(c.residual(coords)).mean()) for c in problem.constraints]
+    # Every file is written before anything is printed, so a reader that
+    # closes stdout early (``repro solve ... | head``) costs none of them.
+    wrote = []
+    if args.trace and tracer is not None:
+        if str(args.trace).endswith(".jsonl"):
+            obs.write_spans_jsonl(tracer, args.trace)
+        else:
+            obs.write_chrome_trace(tracer, args.trace)
+        wrote.append(f"wrote trace to {args.trace}")
+    if args.metrics_out and registry is not None:
+        obs.write_metrics_json(
+            registry, args.metrics_out, extra={"problem": problem.name}
+        )
+        wrote.append(f"wrote metrics to {args.metrics_out}")
+    if args.out:
+        rio.save_estimate(args.out, solution.estimate)
+        summary_path = _write_solve_summary(
+            args, problem, solution, injector, residuals
+        )
     print(
         f"{'converged' if report.converged else 'stopped'} after {report.cycles} "
         f"cycles (last delta {report.deltas[-1]:.3g})"
@@ -388,8 +411,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.session_dir:
         print(f"session saved to {args.session_dir} "
               f"({n_nodes} cached node posteriors)")
-    coords = solution.coords
-    residuals = [float(np.abs(c.residual(coords)).mean()) for c in problem.constraints]
     print(f"mean |residual|: {float(np.mean(residuals)):.4f}")
     print(f"mean atom uncertainty: {solution.estimate.atom_uncertainty().mean():.3f}")
     if report.retries or report.quarantine:
@@ -404,27 +425,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             ch: c["injected"] for ch, c in injector.summary().items() if c["injected"]
         }
         print(f"injected faults: {injected if injected else 'none'}")
-    if args.trace and tracer is not None:
-        if str(args.trace).endswith(".jsonl"):
-            obs.write_spans_jsonl(tracer, args.trace)
-        else:
-            obs.write_chrome_trace(tracer, args.trace)
-        print(f"wrote trace to {args.trace}")
-    if args.metrics_out and registry is not None:
-        obs.write_metrics_json(
-            registry, args.metrics_out, extra={"problem": problem.name}
-        )
-        print(f"wrote metrics to {args.metrics_out}")
+    for line in wrote:
+        print(line)
     if args.obs_summary and tracer is not None and registry is not None:
         print()
         print(obs.format_obs_summary(tracer, registry))
     _report_flight_dumps(recorder)
     if args.out:
-        rio.save_estimate(args.out, solution.estimate)
         print(f"wrote estimate to {args.out}")
-        summary_path = _write_solve_summary(
-            args, problem, solution, injector, residuals
-        )
         print(f"wrote summary to {summary_path}")
     return 0
 
@@ -1008,7 +1016,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        # Flush here, so a closed stdout surfaces inside this ``try``.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro ... | head``).  Python's
+        # documented recipe: send the rest of the output, including the
+        # flush at exit, to devnull, and exit 1 as Python does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,10 +3,14 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import io as rio
 from repro.cli import build_parser, main
 
@@ -139,6 +143,29 @@ class TestSolve:
                   "--add", "dist:0:9:4.1:0.01"])
             == 0
         )
+
+    def test_closed_stdout_still_writes_the_estimate(self, helix_file, tmp_path):
+        """A reader that closes stdout after one line (``| head -1``)
+        leaves no traceback and the same estimate an open stdout gets."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "repro", "solve", str(helix_file),
+                "--cycles", "2", "--tol", "0", "--out"]
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(argv + [str(tmp_path / "open.npz")], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
+        proc = subprocess.Popen(argv + [str(tmp_path / "r.npz")], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"stopped after 2 cycles")
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        proc.wait()
+        assert "Traceback" not in stderr
+        a = rio.load_estimate(tmp_path / "open.npz")
+        b = rio.load_estimate(tmp_path / "r.npz")
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.covariance, b.covariance)
+        assert (tmp_path / "r.summary.json").exists()
 
 
 class TestSessionCLI:
